@@ -33,14 +33,16 @@ import (
 // submission is picked up by some combiner, while Close() fails the
 // pending queue with ErrEngineClosed so no future waits forever.
 //
-// Isolation: operations in a batch execute in submission order against the
+// Execution: every batch, whatever its size and on every variant, runs
+// through one function, execBatch. A one-op list first probes the
+// small-transaction fast path (fastpath.go); anything else runs as ONE
+// engine Update whose body executes the ops in submission order against the
 // shared write-set (each reads its predecessors' writes, exactly as if they
-// had committed back-to-back). A body panic rolls back just that
-// operation's stores (writeSet.rollbackTo) and resolves its future with the
-// panic as an error; its batchmates are unaffected. A write-set overflow
-// caused by the batch (not the operation) falls back to a solo retry after
-// the combined transaction commits, so batching never turns a fitting
-// transaction into ErrTooManyStores.
+// had committed back-to-back), each under runOp's per-op containment — the
+// same contract the wait-free aggregator applies to published operations
+// (waitfree.go). An op deferred by a batch-caused write-set overflow
+// re-enters execBatch alone after the batch commits, so batching never
+// turns a fitting transaction into ErrTooManyStores.
 
 // combineBatchMax bounds how many operations one combined transaction
 // executes — the constant in the progress argument and the cap on
@@ -53,18 +55,19 @@ const combineLinger = 4
 
 // combReq is one pending submission: the operation, its future, and the
 // Treiber-stack link of the submission queue. The future is embedded so a
-// solo submission costs a single allocation.
+// queued submission costs a single allocation, and an idle-combiner
+// submission none (it comes from the combiner's slab).
 //
 // A BatchUpdate submission sets group instead of using the per-op future:
-// the combiner delivers its result with plain stores into res/err and
-// counts it down on the group, whose single future publishes the whole
-// window at once — per-operation atomics drop out of the resolution path.
+// the combiner delivers its result with a plain store into *out (the
+// caller's result slot) and counts it down on the group, whose single
+// future publishes the whole window at once — per-operation atomics drop
+// out of the resolution path.
 type combReq struct {
 	fn    func(tm.Tx) uint64
 	next  *combReq
 	group *batchGroup
-	res   uint64
-	err   error
+	out   *tm.BatchResult
 	fut   tm.Future
 	// start is the submission timestamp (UnixNano), set only when an
 	// observability sink is attached; 0 means "do not time this op".
@@ -74,7 +77,7 @@ type combReq struct {
 // batchGroup aggregates the completion of one BatchUpdate window. left
 // counts unresolved operations; the future resolves when it reaches zero.
 // The group future's Wait is the happens-before edge that publishes every
-// member's plain res/err stores to the submitter.
+// member's plain result store to the submitter.
 type batchGroup struct {
 	left atomic.Int32
 	fut  tm.Future
@@ -96,8 +99,8 @@ type batchCall struct {
 }
 
 // combiner is the engine's group-commit state. head and active are the two
-// contended words, each on its own cache line; everything below scratch is
-// owned by the thread holding active.
+// contended words, each on its own cache line; everything below batchedOps
+// is owned by the thread holding active.
 type combiner struct {
 	_    [64]byte
 	head atomic.Pointer[combReq] // submission queue (LIFO; drains reverse)
@@ -114,23 +117,15 @@ type combiner struct {
 	batches    atomic.Uint64 // combined transactions executed
 	batchedOps atomic.Uint64 // operations executed through them
 
-	// Combiner-private (guarded by active): the drain buffer, the
-	// reusable execution record of the lock-free path, its closure-free
-	// transaction body, and the equivalents for the allocation-free solo
-	// fast path.
-	scratch  []*combReq
-	lfExec   *batchExec
-	lfBatch  []*combReq
-	lfBody   func(tm.Tx) uint64
-	soloFn   func(tm.Tx) uint64
-	soloBody func(tm.Tx) uint64
-	// fastPanic parks a body panic caught by the solo fast probe until
-	// execSoloFast turns it into the submission's error.
-	fastPanic any
-	// futSlab hands out solo-path futures in blocks, so the allocator is
-	// hit once per block instead of once per submission.
-	futSlab []tm.Future
-	futIdx  int
+	// Combiner-private (guarded by active): the drain buffer and, on the
+	// lock-free engines, the reused op list (nil on the wait-free ones).
+	scratch []*combReq
+	list    *opList
+	// reqSlab hands out idle-combiner submissions in blocks, so the
+	// allocator is hit once per block instead of once per submission. A
+	// slab entry is never reused: its future stays the caller's.
+	reqSlab []combReq
+	reqIdx  int
 
 	// reqPool recycles BatchUpdate's per-call records (request array +
 	// completion group). A call is dead once its group future has been
@@ -140,52 +135,113 @@ type combiner struct {
 	reqPool sync.Pool
 }
 
-// batchExec is one execution's per-operation results. On the lock-free
-// engines attempts run sequentially on the combiner goroutine, so one
-// record is reused (the committed attempt overwrites its predecessors); on
-// the wait-free engines the body may run concurrently on helper
-// goroutines, so each execution allocates its own record and the engine's
-// return value selects the committed one.
-type batchExec struct {
-	res  []uint64
-	errs []error
-	solo []bool // write-set overflow: retry this op alone after the batch
+// opOut is one operation's outcome in one execution of an op list.
+type opOut struct {
+	res      uint64
+	fail     any  // the body's panic value; nil on success
+	deferred bool // batch-caused overflow: re-run the op alone
 }
 
-func newBatchExec(n int) *batchExec {
-	return &batchExec{res: make([]uint64, n), errs: make([]error, n), solo: make([]bool, n)}
+// opList is one combined transaction's operations and the outcome record
+// of every execution of its body. The lock-free engines run the body only
+// on the combiner goroutine, one execution after another (serial), so they
+// reuse one list batch after batch and every execution reuses one record.
+// A wait-free engine may also run the body on helper goroutines (§III-E) —
+// even after the transaction committed, as a doomed stale aggregate — so
+// each of its batches gets a fresh list that is never written again once
+// published: the body reads only fns, never the combiner's scratch buffer
+// or the pooled requests. Its executions number themselves with one atomic
+// add and publish their records with a CAS, so a helper never waits on
+// another execution of the same body.
+type opList struct {
+	fns    []func(tm.Tx) uint64
+	body   func(tm.Tx) uint64 // l.exec, bound once
+	serial bool
+	execs  atomic.Uint64         // executions started (wait-free lists)
+	first  opRun                 // execution 1's record (every execution's, if serial)
+	more   atomic.Pointer[opRun] // the records of executions 2, 3, ..., newest first
 }
 
-// grow resizes the record for a batch of n ops, reusing capacity.
-func (x *batchExec) grow(n int) {
-	if cap(x.res) < n {
-		x.res = make([]uint64, n)
-		x.errs = make([]error, n)
-		x.solo = make([]bool, n)
-		return
-	}
-	x.res = x.res[:n]
-	x.errs = x.errs[:n]
-	x.solo = x.solo[:n]
+// opRun is the outcome record of the k-th execution of an op list.
+type opRun struct {
+	outs []opOut
+	k    uint64
+	next *opRun
 }
 
-// runOps is the combined transaction's body: every operation in turn, each
-// guarded by a write-set checkpoint. It runs under the engine's usual
-// retry/helping regime, so it may execute several times; each execution
-// re-arms the undo log for its own slot's write-set.
-func (x *batchExec) runOps(u *uTx, batch []*combReq) {
+func newOpList(serial bool) *opList {
+	l := &opList{serial: serial}
+	l.body = l.exec
+	return l
+}
+
+// exec is the combined transaction's body: every operation in turn, under
+// runOp's containment, recording into this execution's own outcome record.
+// Its return value names that record, so the engine's committed return
+// value selects the execution whose effects actually committed.
+func (l *opList) exec(tx tm.Tx) uint64 {
+	u := tx.(*uTx)
 	u.s.ws.beginUndo()
-	for i, q := range batch {
-		x.res[i], x.errs[i], x.solo[i] = runGuarded(u, q.fn)
+	list := u.s.ws.mark()
+	r, k := &l.first, uint64(1)
+	if !l.serial {
+		k = l.execs.Add(1)
 	}
+	if k == 1 {
+		if cap(r.outs) < len(l.fns) {
+			r.outs = make([]opOut, len(l.fns))
+		}
+		r.outs = r.outs[:len(l.fns)]
+	} else {
+		r = &opRun{outs: make([]opOut, len(l.fns)), k: k}
+		for {
+			r.next = l.more.Load()
+			if l.more.CompareAndSwap(r.next, r) {
+				break
+			}
+		}
+	}
+	for i, fn := range l.fns {
+		r.outs[i].res, r.outs[i].fail, r.outs[i].deferred = runOp(u, fn, list, u.s.ws.mark())
+	}
+	return k
 }
 
-// runGuarded executes one operation with per-op isolation: a body panic
-// rolls the write-set back to the operation's start and becomes the op's
-// error (ErrTooManyStores instead requests a solo retry — the overflow may
-// be the batch's fault, not the op's). An abortSignal is the whole
-// transaction's concern and propagates.
-func runGuarded(u *uTx, fn func(tm.Tx) uint64) (res uint64, err error, solo bool) {
+// outcome returns the record of the execution whose body returned k. The
+// engine's commit orders that execution's writes before the caller's read.
+func (l *opList) outcome(k uint64) []opOut {
+	if k == 1 {
+		return l.first.outs
+	}
+	r := l.more.Load()
+	for r.k != k {
+		r = r.next
+	}
+	return r.outs
+}
+
+// runOp is the per-operation containment contract shared by the combiner's
+// op lists and the wait-free aggregate (DESIGN.md §10). It runs fn inside a
+// transaction body that executes a list of operations; list marks the
+// write-set at the list's start and op at the operation's start (before
+// any bookkeeping stores the caller makes for it, such as the aggregate's
+// result-word reservation).
+//
+//   - A body panic rolls the op's stores back and fails the op with the
+//     panic value (failure).
+//   - abortSignal is the whole transaction's concern: it propagates, and
+//     the transaction retries.
+//   - tm.ErrTooManyStores while the write-set holds entries that earlier
+//     ops of the same list added (op.n > list.n) is the batch's overflow,
+//     not the op's: everything since op is rolled back and the op deferred
+//     to a later, smaller transaction. Testing against the list's start,
+//     not against an empty write-set, matters inside a wait-free combined
+//     batch, whose aggregate has stored result words before the list.
+//   - Any other tm.ErrTooManyStores is the op's own, and fails it.
+//
+// Panics from outside the body (device failures, crash injection) never
+// pass through here: they propagate from the engine's commit machinery.
+func runOp(u *uTx, fn func(tm.Tx) uint64, list, op wsMark) (res uint64, failure any, deferred bool) {
 	m := u.s.ws.mark()
 	defer func() {
 		r := recover()
@@ -195,12 +251,13 @@ func runGuarded(u *uTx, fn func(tm.Tx) uint64) (res uint64, err error, solo bool
 		if _, isAbort := r.(abortSignal); isAbort {
 			panic(r)
 		}
-		u.s.ws.rollbackTo(m)
-		if e, ok := r.(error); ok && errors.Is(e, tm.ErrTooManyStores) {
-			solo = true
+		if err, ok := r.(error); ok && errors.Is(err, tm.ErrTooManyStores) && op.n > list.n {
+			u.s.ws.rollbackTo(op)
+			deferred = true
 			return
 		}
-		err = tm.PanicError(r)
+		u.s.ws.rollbackTo(m)
+		failure = r
 	}()
 	return fn(u), nil, false
 }
@@ -208,175 +265,47 @@ func runGuarded(u *uTx, fn func(tm.Tx) uint64) (res uint64, err error, solo bool
 var _ tm.Combining = (*Engine)(nil)
 
 // AsyncUpdate implements tm.Combining. With an idle combiner the caller
-// executes fn itself (the solo fast path — the future is resolved on
-// return, and a solo submitter never waits for a batch to form); otherwise
-// the submission is queued for the active combiner and the caller returns
-// immediately.
+// takes the combiner slot and executes fn itself as a one-op batch — the
+// future is resolved on return, and a solo submitter never waits for a
+// batch to form; otherwise the submission is queued for the active
+// combiner and the caller returns immediately.
 func (e *Engine) AsyncUpdate(fn func(tm.Tx) uint64) *tm.Future {
 	if e.closed.Load() {
 		fut := new(tm.Future)
 		fut.Resolve(0, tm.ErrEngineClosed)
 		return fut
 	}
+	c := &e.comb
 	o := e.obsv.Load()
-	if e.comb.head.Load() == nil && e.comb.active.CompareAndSwap(0, 1) {
-		// Idle combiner: probe the small-transaction fast path first
-		// (fastpath.go — any variant), then the lock-free solo path. A
-		// wait-free engine whose body is not small releases the slot and
-		// falls through to the queue path below.
+	if c.head.Load() == nil && c.active.CompareAndSwap(0, 1) {
 		var start time.Time
 		if o != nil {
 			start = time.Now()
 		}
-		if fut := e.execSoloFast(fn); fut != nil {
-			e.comb.active.Store(0)
-			if o != nil {
-				o.SoloLat.RecordSince(start)
-			}
-			e.drainLoop()
-			return fut
+		if c.reqIdx == len(c.reqSlab) {
+			c.reqSlab = make([]combReq, 64)
+			c.reqIdx = 0
 		}
-		if !e.waitFree {
-			// Lock-free solo fast path: no queue node, no batch record —
-			// only the returned future is allocated.
-			fut := e.execSoloLF(fn)
-			e.comb.active.Store(0)
-			if o != nil {
-				o.SoloLat.RecordSince(start)
-			}
-			e.drainLoop()
-			return fut
+		r := &c.reqSlab[c.reqIdx]
+		c.reqIdx++
+		r.fn = fn
+		one := [1]*combReq{r}
+		e.execBatch(one[:])
+		r.fn = nil // the slab outlives the op; do not pin its closure
+		c.active.Store(0)
+		if o != nil {
+			o.SoloLat.RecordSince(start)
 		}
-		e.comb.active.Store(0)
+		e.drainLoop()
+		return &r.fut
 	}
 	r := &combReq{fn: fn}
 	if o != nil {
 		r.start = time.Now().UnixNano()
 	}
-	if e.comb.head.Load() == nil && e.comb.active.CompareAndSwap(0, 1) {
-		e.comb.scratch = append(e.comb.scratch[:0], r)
-		e.execBatch(e.comb.scratch)
-		e.comb.active.Store(0)
-	} else {
-		e.pushReq(r)
-	}
+	e.pushReq(r)
 	e.drainLoop()
 	return &r.fut
-}
-
-// soloFuture hands out the next slab future (valid under active).
-func (e *Engine) soloFuture() *tm.Future {
-	c := &e.comb
-	if c.futIdx == len(c.futSlab) {
-		c.futSlab = make([]tm.Future, 64)
-		c.futIdx = 0
-	}
-	fut := &c.futSlab[c.futIdx]
-	c.futIdx++
-	return fut
-}
-
-// soloFastStatus is soloFastAttempt's outcome.
-type soloFastStatus uint8
-
-const (
-	soloFastDone     soloFastStatus = iota
-	soloFastFallback                // not small or persistently contended; nothing ran
-	soloFastClosed                  // the engine closed under the submission
-	soloFastPanic                   // the body panicked (value parked in c.fastPanic)
-)
-
-// soloFastAttempt acquires a slot and runs the engine-level fast attempt,
-// translating panics into statuses — the combiner must resolve a future,
-// never unwind its caller. A body panic is safe to absorb here: the fast
-// path runs bodies strictly before publication, so nothing committed.
-func (e *Engine) soloFastAttempt(fn func(tm.Tx) uint64) (res uint64, st soloFastStatus) {
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if err, ok := p.(error); ok && errors.Is(err, tm.ErrEngineClosed) {
-			st = soloFastClosed
-			return
-		}
-		e.comb.fastPanic = p
-		st = soloFastPanic
-	}()
-	s := e.acquire()
-	defer e.release(s)
-	r, fst := e.fastAttempt(s, fn)
-	if fst == fastCommitted {
-		return r, soloFastDone
-	}
-	return 0, soloFastFallback
-}
-
-// execSoloFast probes the small-transaction fast path for one solo
-// submission, holding the combiner slot. A nil return means the body did
-// not commit fast (too large, allocating, or persistently contended) and
-// nothing happened — the caller re-runs it through the regular machinery.
-func (e *Engine) execSoloFast(fn func(tm.Tx) uint64) *tm.Future {
-	c := &e.comb
-	res, st := e.soloFastAttempt(fn)
-	switch st {
-	case soloFastClosed:
-		fut := e.soloFuture()
-		fut.Resolve(0, tm.ErrEngineClosed)
-		return fut
-	case soloFastPanic:
-		err := tm.PanicError(c.fastPanic)
-		c.fastPanic = nil
-		fut := e.soloFuture()
-		fut.Resolve(0, err)
-		return fut
-	case soloFastFallback:
-		return nil
-	}
-	fut := e.soloFuture()
-	// The counters are only written with the combiner slot held, so a
-	// plain load+store (no RMW) is enough; Stats reads stay race-free.
-	c.batches.Store(c.batches.Load() + 1)
-	c.batchedOps.Store(c.batchedOps.Load() + 1)
-	fut.ResolveLocal(res, nil)
-	return fut
-}
-
-// execSoloLF runs one operation as its own combined transaction on the
-// lock-free path, with the combiner slot held. The wait-free engines can't
-// take this shortcut: their bodies may run concurrently on helpers, so a
-// per-execution record (execBatchWF) is required even for one op.
-func (e *Engine) execSoloLF(fn func(tm.Tx) uint64) (fut *tm.Future) {
-	c := &e.comb
-	fut = e.soloFuture()
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		if err, ok := p.(error); ok && errors.Is(err, tm.ErrEngineClosed) {
-			fut.Resolve(0, tm.ErrEngineClosed)
-			return
-		}
-		panic(p)
-	}()
-	e.initLF()
-	c.lfExec.grow(1)
-	c.soloFn = fn
-	e.Update(c.soloBody)
-	c.soloFn = nil
-	// The counters are only written with the combiner slot held, so a
-	// plain load+store (no RMW) is enough; Stats reads stay race-free.
-	c.batches.Store(c.batches.Load() + 1)
-	c.batchedOps.Store(c.batchedOps.Load() + 1)
-	x := c.lfExec
-	if x.solo[0] {
-		// Alone by construction: the op itself overflows the write-set.
-		fut.ResolveLocal(0, tm.ErrTooManyStores)
-		return fut
-	}
-	fut.ResolveLocal(x.res[0], x.errs[0])
-	return fut
 }
 
 // BatchUpdate implements tm.Combining: submit every fn, combine, wait for
@@ -410,7 +339,7 @@ func (e *Engine) BatchUpdate(fns []func(tm.Tx) uint64) []tm.BatchResult {
 	// Link the batch into one chain (last submission on top, matching the
 	// LIFO queue's order) and publish it with a single CAS.
 	for i := range reqs {
-		reqs[i] = combReq{fn: fns[i], group: &call.group, start: submitNs}
+		reqs[i] = combReq{fn: fns[i], group: &call.group, out: &out[i], start: submitNs}
 		if i > 0 {
 			reqs[i].next = &reqs[i-1]
 		}
@@ -419,9 +348,6 @@ func (e *Engine) BatchUpdate(fns []func(tm.Tx) uint64) []tm.BatchResult {
 	e.pushChain(&reqs[len(reqs)-1], &reqs[0])
 	e.drainLoop()
 	call.group.fut.Wait()
-	for i := range reqs {
-		out[i].Val, out[i].Err = reqs[i].res, reqs[i].err
-	}
 	e.comb.inflight.Add(-1)
 	e.comb.reqPool.Put(call)
 	return out
@@ -524,12 +450,20 @@ func (e *Engine) drainInto(buf []*combReq) []*combReq {
 	return buf
 }
 
-// execBatch runs one bounded batch inside a single engine transaction and
-// resolves every future. ErrEngineClosed (the engine shut down between the
-// submission and the combine) resolves the whole batch with that error;
-// any other panic from the commit machinery — there are none in normal
-// operation, but the crash-simulation harness injects them — propagates
-// with the futures unresolved, exactly like a process death.
+// execBatch is the combiner's one execution function: it runs a bounded
+// list of operations, holding the combiner slot, and resolves every
+// future. A one-op list probes the small-transaction fast path first;
+// otherwise — or when the probe falls back — the list runs as one engine
+// Update under runOp's containment, and ops deferred by a batch-caused
+// overflow re-enter execBatch alone once the rest are resolved.
+//
+// ErrEngineClosed (the engine shut down between the submission and the
+// combine) fails every op of the list. Any other panic escaping the engine
+// comes from the commit machinery, not from an op body — there are none in
+// normal operation, but device failures and the crash-simulation harness
+// raise them — and propagates with the futures unresolved, exactly like a
+// process death: the write may already have committed, so failing the op
+// would acknowledge a committed write as failed.
 func (e *Engine) execBatch(batch []*combReq) {
 	defer func() {
 		r := recover()
@@ -544,13 +478,29 @@ func (e *Engine) execBatch(batch []*combReq) {
 		}
 		panic(r)
 	}()
-	var x *batchExec
-	if e.waitFree {
-		x = e.execBatchWF(batch)
-	} else {
-		x = e.execBatchLF(batch)
-	}
 	c := &e.comb
+	var one [1]opOut
+	out := one[:]
+	fast := false
+	if len(batch) == 1 {
+		one[0].res, fast = e.fastOne(batch[0].fn)
+	}
+	if !fast {
+		l := c.list
+		if l == nil {
+			l = newOpList(false)
+		}
+		if cap(l.fns) < len(batch) {
+			l.fns = make([]func(tm.Tx) uint64, len(batch))
+		}
+		l.fns = l.fns[:len(batch)]
+		for i, q := range batch {
+			l.fns[i] = q.fn
+		}
+		out = l.outcome(e.Update(l.body))
+	}
+	// The counters are only written with the combiner slot held, so a
+	// plain load+store (no RMW) is enough; Stats reads stay race-free.
 	c.batches.Store(c.batches.Load() + 1)
 	c.batchedOps.Store(c.batchedOps.Load() + uint64(len(batch)))
 	if o := e.obsv.Load(); o != nil {
@@ -568,7 +518,7 @@ func (e *Engine) execBatch(batch []*combReq) {
 			}
 		}
 	}
-	var retries []*combReq
+	var deferred []*combReq
 	// Group members arrive as contiguous runs (a submitter pushes its next
 	// window only after the previous one resolved), so their countdown is
 	// amortised: plain result stores per op, one Add per run.
@@ -581,17 +531,16 @@ func (e *Engine) execBatch(batch []*combReq) {
 		g, gn = nil, 0
 	}
 	for i, q := range batch {
-		if x.solo[i] {
-			if len(batch) == 1 {
-				// Already alone: the op itself overflows the write-set.
-				resolveReq(q, 0, tm.ErrTooManyStores)
-				continue
-			}
-			retries = append(retries, q)
+		if out[i].deferred {
+			deferred = append(deferred, q)
 			continue
 		}
+		res, err := out[i].res, error(nil)
+		if out[i].fail != nil {
+			err = tm.PanicError(out[i].fail)
+		}
 		if q.group != nil {
-			q.res, q.err = x.res[i], x.errs[i]
+			*q.out = tm.BatchResult{Val: res, Err: err}
 			if q.group != g {
 				flush()
 				g = q.group
@@ -600,87 +549,34 @@ func (e *Engine) execBatch(batch []*combReq) {
 			continue
 		}
 		flush()
-		q.fut.Resolve(x.res[i], x.errs[i])
+		q.fut.Resolve(res, err)
 	}
 	flush()
-	// Solo retries re-enter execBatch one op at a time, after x is no
-	// longer needed (the lock-free path reuses its record).
-	for _, q := range retries {
+	// Deferred ops re-enter only now: the lock-free engines' reused op
+	// list (out's backing store) is no longer needed.
+	for _, q := range deferred {
 		one := [1]*combReq{q}
 		e.execBatch(one[:])
 	}
 }
 
-// execBatchLF executes the batch on a lock-free engine. Attempts run
-// sequentially on this goroutine, so the execution record and the batch
-// slice are combiner-private and the closure-free body handle is reused —
-// the solo fast path allocates nothing beyond the submission itself.
-func (e *Engine) execBatchLF(batch []*combReq) *batchExec {
-	c := &e.comb
-	e.initLF()
-	c.lfExec.grow(len(batch))
-	c.lfBatch = batch
-	e.Update(c.lfBody)
-	c.lfBatch = nil
-	return c.lfExec
+// fastOne probes the small-transaction fast path for a one-op list and
+// reports whether the op committed there. On false nothing happened and the
+// op runs through the full path (a panicking body, too: the probe leaves
+// its containment to runOp).
+func (e *Engine) fastOne(fn func(tm.Tx) uint64) (uint64, bool) {
+	s := e.acquire()
+	defer e.release(s)
+	res, st := e.fastAttempt(s, fn)
+	return res, st == fastCommitted
 }
 
-// initLF lazily builds the lock-free path's reusable execution record and
-// its two closure-free bodies (batch and solo).
-func (e *Engine) initLF() {
-	c := &e.comb
-	if c.lfExec != nil {
-		return
-	}
-	c.lfExec = newBatchExec(1)
-	c.lfBody = func(tx tm.Tx) uint64 {
-		c.lfExec.runOps(tx.(*uTx), c.lfBatch)
-		return 0
-	}
-	c.soloBody = func(tx tm.Tx) uint64 {
-		u := tx.(*uTx)
-		u.s.ws.beginUndo()
-		x := c.lfExec
-		x.res[0], x.errs[0], x.solo[0] = runGuarded(u, c.soloFn)
-		return 0
-	}
-}
-
-// execBatchWF executes the batch on a wait-free engine, where the body may
-// run concurrently on helper goroutines (§III-E): each execution builds its
-// own record and deposits it under a fresh id, and the engine's committed
-// return value — which does come from the winning execution — selects the
-// record whose effects actually committed.
-func (e *Engine) execBatchWF(batch []*combReq) *batchExec {
-	var (
-		mu   sync.Mutex
-		id   uint64
-		deps map[uint64]*batchExec
-	)
-	win := e.Update(func(tx tm.Tx) uint64 {
-		x := newBatchExec(len(batch))
-		x.runOps(tx.(*uTx), batch)
-		mu.Lock()
-		id++
-		k := id
-		if deps == nil {
-			deps = make(map[uint64]*batchExec)
-		}
-		deps[k] = x
-		mu.Unlock()
-		return k
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	return deps[win]
-}
-
-// resolveReq delivers one submission's result on a cold path (close,
-// overflow, solo retry): group members store plainly and count down one,
-// AsyncUpdate submissions resolve their own future.
+// resolveReq delivers one submission's result on a cold path (close):
+// group members store plainly and count down one, AsyncUpdate submissions
+// resolve their own future.
 func resolveReq(q *combReq, res uint64, err error) {
 	if q.group != nil {
-		q.res, q.err = res, err
+		*q.out = tm.BatchResult{Val: res, Err: err}
 		q.group.done(1)
 		return
 	}

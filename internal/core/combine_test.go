@@ -317,3 +317,99 @@ func TestCombineConcurrentBatches(t *testing.T) {
 		})
 	}
 }
+
+// TestCombineMachineryPanicPropagates: a panic raised by the commit
+// machinery rather than by the op body — here a device failure on the
+// first persistence event of a solo submission's commit — must propagate
+// like a process death. Resolving the future with an error would report a
+// write as failed after it committed, and a client retrying an INCR would
+// apply it twice.
+func TestCombineMachineryPanicPropagates(t *testing.T) {
+	for _, wf := range []bool{false, true} {
+		e, dev := newPTM(t, wf, pmem.StrictMode, 1)
+		t.Run(e.Name(), func(t *testing.T) {
+			boom := errors.New("device failure")
+			dev.SetHook(func(pmem.Event) { panic(boom) })
+			var fut *tm.Future
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				fut = e.AsyncUpdate(func(tx tm.Tx) uint64 {
+					tx.Store(tm.Root(0), 9)
+					return 9
+				})
+				return nil
+			}()
+			dev.SetHook(nil)
+			if got != boom {
+				v := e.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(0)) })
+				if fut != nil && fut.Done() {
+					_, err := fut.Wait()
+					t.Fatalf("device panic did not propagate: future resolved with %v, Root(0) = %d", err, v)
+				}
+				t.Fatalf("recovered %v, want the device panic", got)
+			}
+		})
+	}
+}
+
+// TestCombineWFBatchHelperRace: on a wait-free engine a combined batch's
+// body may run on helper goroutines aggregating the heap — also after the
+// batch committed, as a doomed stale execution. The body must then read
+// only its own op list, never the combiner's drain buffer or the pooled
+// BatchUpdate requests the next window is already rewriting. Run under
+// -race.
+func TestCombineWFBatchHelperRace(t *testing.T) {
+	const batches, perBatch = 3000, 16
+	e := NewWF(smallOpts()...)
+	defer e.Close()
+	inc := func(p tm.Ptr) func(tm.Tx) uint64 {
+		return func(tx tm.Tx) uint64 {
+			v := tx.Load(p)
+			tx.Store(p, v+1)
+			return v
+		}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var updates [2]uint64
+	for g := range updates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e.Update(inc(tm.Root(1 + g)))
+				updates[g]++
+			}
+		}()
+	}
+	fns := make([]func(tm.Tx) uint64, perBatch)
+	for i := range fns {
+		fns[i] = inc(tm.Root(0))
+	}
+	for b := 0; b < batches; b++ {
+		for i, r := range e.BatchUpdate(fns) {
+			if r.Err != nil {
+				t.Fatalf("batch %d op %d: %v", b, i, r.Err)
+			}
+			if want := uint64(b*perBatch + i); r.Val != want {
+				t.Fatalf("batch %d op %d saw %d, want %d", b, i, r.Val, want)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	load := func(p tm.Ptr) uint64 { return e.Read(func(tx tm.Tx) uint64 { return tx.Load(p) }) }
+	if got := load(tm.Root(0)); got != batches*perBatch {
+		t.Fatalf("batched counter = %d, want %d (lost or duplicated ops)", got, batches*perBatch)
+	}
+	for g, n := range updates {
+		if got := load(tm.Root(1 + g)); got != n {
+			t.Fatalf("helper %d counter = %d, want %d", g, got, n)
+		}
+	}
+}

@@ -302,6 +302,9 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 	}
 	e.cm.init(runtime.GOMAXPROCS(0))
 	e.excl.init()
+	if !waitFree {
+		e.comb.list = newOpList(true) // reused by every batch (combine.go)
+	}
 	e.resultsBase = talloc.MetaBase + talloc.MetaWords
 	e.dynBase = e.resultsBase + tm.Ptr(2*cfg.MaxThreads)
 	if int(e.dynBase)+64 > cfg.HeapWords {

@@ -68,7 +68,7 @@ type fastStatus uint8
 const (
 	fastCommitted  fastStatus = iota
 	fastConflict              // pending tx, seq-validation abort, or lost commit CAS
-	fastIneligible            // >2 distinct stores, Alloc/Free, or MaxStores exceeded
+	fastIneligible            // >2 distinct stores, Alloc/Free, MaxStores exceeded, or a body panic
 	fastCrossLine             // PTM: the two words do not share a pair cache line
 )
 
@@ -213,8 +213,7 @@ func (e *Engine) releaseFast(s *slot) {
 	}
 }
 
-// updateSmall is UpdateSmall with the slot already acquired (the combiner's
-// solo path enters here).
+// updateSmall is UpdateSmall with the slot already acquired.
 func (e *Engine) updateSmall(s *slot, fn func(tx tm.Tx) uint64) (uint64, tm.SmallOutcome) {
 	o := e.obsv.Load()
 	var start time.Time
@@ -285,7 +284,7 @@ func (e *Engine) tryFast(s *slot, fn func(tx tm.Tx) uint64) (uint64, fastStatus)
 	t.startSeq = seqOf(oldTx)
 	t.n = 0
 	t.ineligible = false
-	res, ok := runBody(fn, t)
+	res, ok := runFastBody(fn, t)
 	if !ok {
 		if t.ineligible {
 			return 0, fastIneligible
@@ -344,6 +343,24 @@ func (e *Engine) tryFast(s *slot, fn func(tx tm.Tx) uint64) (uint64, fastStatus)
 	// until this line has run, so the blind store is idempotent.
 	s.request.Store(newTx + 1)
 	return res, fastCommitted
+}
+
+// runFastBody is runBody for the fast path, except that a body panic makes
+// the transaction ineligible instead of unwinding the caller: the body runs
+// strictly before publication, so nothing of it committed, and the full
+// path the caller falls back to runs it again and delivers the panic where
+// that path's contract says (re-raised by Update, contained by the
+// combiner). Any panic that does escape tryFast therefore comes from the
+// commit machinery, after the transaction may have committed.
+func runFastBody(fn func(tm.Tx) uint64, t *fTx) (res uint64, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isAbort := r.(abortSignal); !isAbort {
+				t.ineligible = true
+			}
+		}
+	}()
+	return fn(t), true
 }
 
 // flushFast persists a fast commit's words: one FlushPairLine + one Fence.

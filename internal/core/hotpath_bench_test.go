@@ -105,6 +105,78 @@ func BenchmarkUpdateTxWide(b *testing.B) {
 	}
 }
 
+// benchVariants are the four OneFile variants the combiner benchmarks run on.
+var benchVariants = []struct {
+	name string
+	mk   func(b *testing.B) *Engine
+}{
+	{"LF", func(b *testing.B) *Engine { return NewLF(benchOpts()...) }},
+	{"WF", func(b *testing.B) *Engine { return NewWF(benchOpts()...) }},
+	{"LF-PTM", func(b *testing.B) *Engine { return newBenchPTM(b, false) }},
+	{"WF-PTM", func(b *testing.B) *Engine { return newBenchPTM(b, true) }},
+}
+
+// update8Body writes eight words: too many for the fast path, so a solo
+// submission of it runs as a one-op combined transaction.
+func update8Body(tx tm.Tx) uint64 {
+	for i := 0; i < 8; i++ {
+		tx.Store(tm.Root(i), tx.Load(tm.Root(i))+1)
+	}
+	return 0
+}
+
+// BenchmarkAsyncUpdateSolo measures one submitter on an idle combiner: the
+// caller executes its own op (1 word: the fast path; 8 words: a one-op
+// combined transaction) and the future is resolved on return.
+func BenchmarkAsyncUpdateSolo(b *testing.B) {
+	for _, body := range []struct {
+		name string
+		fn   func(tm.Tx) uint64
+	}{{"1word", updateTxBody}, {"8word", update8Body}} {
+		for _, tc := range benchVariants {
+			b.Run(body.name+"/"+tc.name, func(b *testing.B) {
+				e := tc.mk(b)
+				for i := 0; i < 1024; i++ {
+					e.AsyncUpdate(body.fn).Wait()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := e.AsyncUpdate(body.fn).Wait(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkBatchUpdate16 measures one BatchUpdate window of 16 hot-counter
+// increments, which the combiner runs as one combined transaction.
+func BenchmarkBatchUpdate16(b *testing.B) {
+	fns := make([]func(tm.Tx) uint64, 16)
+	for i := range fns {
+		fns[i] = updateTxBody
+	}
+	for _, tc := range benchVariants {
+		b.Run(tc.name, func(b *testing.B) {
+			e := tc.mk(b)
+			for i := 0; i < 256; i++ {
+				e.BatchUpdate(fns)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, r := range e.BatchUpdate(fns) {
+					if r.Err != nil {
+						b.Fatal(r.Err)
+					}
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkReadTx(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -32,7 +32,7 @@ type EngineObs struct {
 	// ReadLat is the begin→completion latency of Read transactions.
 	ReadLat *obs.Histogram
 	// SoloLat is the begin→resolve latency of AsyncUpdate submissions
-	// that rode the solo fast path.
+	// executed by their own submitter on an idle combiner.
 	SoloLat *obs.Histogram
 	// BatchLat is the submit→resolve latency of operations executed
 	// through combined transactions.
@@ -41,7 +41,8 @@ type EngineObs struct {
 	// on the small-transaction fast path (fastpath.go). Fallbacks record
 	// into UpdateLat instead.
 	FastLat *obs.Histogram
-	// BatchSize is the operations-per-combined-transaction distribution.
+	// BatchSize is the operations-per-combined-transaction distribution
+	// (solo submissions count as one-op batches, as in Stats).
 	BatchSize *obs.Histogram
 	// DrainSpan is the operations-per-combiner-drain distribution (one
 	// drain may split into several combined transactions).
@@ -141,7 +142,7 @@ func (e *Engine) RegisterMetrics(reg *obs.Registry, prefix string) *EngineObs {
 		ReadLat: reg.Histogram(prefix+"_read_latency_ns",
 			"begin-to-completion latency of read-only transactions", "ns"),
 		SoloLat: reg.Histogram(prefix+"_solo_latency_ns",
-			"begin-to-resolve latency of solo-fast-path AsyncUpdate submissions", "ns"),
+			"begin-to-resolve latency of AsyncUpdate submissions run by their submitter", "ns"),
 		BatchLat: reg.Histogram(prefix+"_batch_op_latency_ns",
 			"submit-to-resolve latency of operations in combined transactions", "ns"),
 		FastLat: reg.Histogram(prefix+"_fastpath_latency_ns",

@@ -403,7 +403,10 @@ func (e *Engine) readLoop(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 		s.st.readAborts.Add(1)
 		e.obsEvent(obs.EvReadAbort, s.id, seqOf(oldTx))
 		if e.waitFree && tries+1 >= e.cfg.ReadTries {
-			return e.publishAndRun(s, fn)
+			// Escalate: published like an update operation, the body is
+			// executed by some thread within a bounded number of
+			// transactions (§III-E).
+			return e.updateWF(s, fn)
 		}
 		e.contendedPause(tries)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"onefile/internal/tm"
@@ -44,7 +43,7 @@ func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 	}()
 	res, failed := e.runPublished(s, d)
 	if failed {
-		// A committed aggregate recorded the body's panic (runContained);
+		// A committed aggregate recorded the body's panic (aggregateBody);
 		// re-raise it here on the submitter, where the tm.Tx contract
 		// says a body panic surfaces.
 		if pv := d.fail.Load(); pv != nil {
@@ -55,13 +54,6 @@ func (e *Engine) updateWF(s *slot, fn func(tx tm.Tx) uint64) uint64 {
 		panic(fmt.Errorf("core: operation failed without a panic value (slot %d tag %d)", s.id, d.tag))
 	}
 	return res
-}
-
-// publishAndRun escalates a read-only body that exhausted its optimistic
-// attempts: it is published like an update operation, guaranteeing that
-// within a bounded number of transactions some thread executes it (§III-E).
-func (e *Engine) publishAndRun(s *slot, fn func(tx tm.Tx) uint64) uint64 {
-	return e.updateWF(s, fn)
 }
 
 // runPublished drives a published operation to completion. The era is
@@ -114,7 +106,7 @@ func (e *Engine) runPublished(s *slot, d *opDesc) (uint64, bool) {
 // sequence, and the loser re-reads the tags).
 func (e *Engine) transformAggregate(s *slot, startSeq uint64) bool {
 	s.ws.reset()
-	// Per-operation containment (runContained) rolls individual ops back
+	// Per-operation containment (runOp) rolls individual ops back
 	// out of the shared write-set, which needs replacement undo recording
 	// from the aggregate's first store on.
 	s.ws.beginUndo()
@@ -126,10 +118,32 @@ func (e *Engine) transformAggregate(s *slot, startSeq uint64) bool {
 // aggregateBody is the body of the aggregate transaction. It is a method
 // value only on the engine (no per-call closure) and pulls the executing
 // slot back out of the transaction handle.
+//
+// Each published operation runs under runOp's containment, the contract
+// the combiner's op lists share: a body panic must not escape on whichever
+// thread happens to be aggregating — the submitter's goroutine is the only
+// place the tm.Tx contract lets it surface. The result words are reserved
+// before the body runs, so delivering either verdict afterwards only
+// replaces existing write-set entries and can never itself overflow.
+// Outcomes:
+//   - success: result and tag stored; exactly-once via the commit CAS.
+//   - deferred (the aggregate, not the operation, overflowed — the
+//     reservation included): its stores are dropped and it stays
+//     published for a later, smaller aggregate.
+//   - failure (any other panic, an overflow of the operation alone
+//     included): its stores are rolled back, the panic value parked in the
+//     descriptor, and the tag committed with opFailBit so every racing
+//     aggregate agrees the op is done and the submitter re-raises it
+//     exactly once.
+//
+// Reserving into a write-set with no room for even the two result words
+// and nothing else in it panics past the aggregate: MaxStores < 2, no
+// wait-free operation can ever complete.
 func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 	u := tx.(*uTx)
 	s := u.s
 	startSeq := u.startSeq
+	list := s.ws.mark()
 	for t := range e.slots {
 		d := e.slots[t].opSlot.Load()
 		if d == nil {
@@ -153,74 +167,29 @@ func (e *Engine) aggregateBody(tx tm.Tx) uint64 {
 		if got := u.Load(tagW); got == d.tag || got == d.tag|opFailBit {
 			continue // already executed (or terminally failed) by a committed transaction
 		}
-		if e.runContained(u, d, valW, tagW) {
-			continue // aggregate-caused overflow: left published for a later, smaller aggregate
+		op := s.ws.mark()
+		if op.n > list.n && op.n+2 > s.ws.cap {
+			continue // deferred: the reservation overflows the aggregate
+		}
+		u.Store(valW, 0)
+		u.Store(tagW, 0)
+		res, failure, deferred := runOp(u, d.fn, list, op)
+		switch {
+		case deferred:
+			continue
+		case failure != nil:
+			pv := failure // only a failure pays the escaping copy
+			d.fail.Store(&pv)
+			u.Store(tagW, d.tag|opFailBit)
+		default:
+			u.Store(valW, res)
+			u.Store(tagW, d.tag)
 		}
 		if t != s.id {
 			s.st.aggregated.Add(1)
 		}
 	}
 	return 0
-}
-
-// runContained executes one published operation inside the aggregate with
-// the per-op isolation the group-commit layer gives batch members
-// (runGuarded): a body panic must not escape on whichever thread happens
-// to be aggregating — the submitter's goroutine is the only place the
-// tm.Tx contract lets it surface. The result words are reserved before
-// the body runs, so delivering a success or failure verdict afterwards
-// only replaces existing write-set entries and can never itself overflow.
-//
-// Outcomes:
-//   - success: result and tag stored; exactly-once via the commit CAS.
-//   - abortSignal: the whole aggregate's concern; propagates.
-//   - tm.ErrTooManyStores with other operations' stores already present:
-//     the aggregate, not the operation, overflowed. Its stores are dropped
-//     and it stays published for a later aggregate (skipped=true) —
-//     aggregation never turns a fitting transaction into an overflow.
-//   - any other panic (an overflow alone in the write-set included):
-//     terminal. The operation's stores are rolled back, the panic value
-//     parked in the descriptor, and the tag committed with opFailBit so
-//     every racing aggregate agrees the op is done and the submitter
-//     re-raises it exactly once.
-func (e *Engine) runContained(u *uTx, d *opDesc, valW, tagW tm.Ptr) (skipped bool) {
-	m := u.s.ws.mark()
-	reserved := false
-	var m2 wsMark
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, isAbort := r.(abortSignal); isAbort {
-			panic(r)
-		}
-		if err, ok := r.(error); ok && errors.Is(err, tm.ErrTooManyStores) {
-			if m.n > 0 {
-				u.s.ws.rollbackTo(m)
-				skipped = true
-				return
-			}
-			if !reserved {
-				// Even the two result words do not fit an empty
-				// write-set: MaxStores < 2, no wait-free operation
-				// can ever complete. Nothing to contain.
-				panic(r)
-			}
-		}
-		pv := r
-		d.fail.Store(&pv)
-		u.s.ws.rollbackTo(m2)
-		u.Store(tagW, d.tag|opFailBit)
-	}()
-	u.Store(valW, 0)
-	u.Store(tagW, 0)
-	reserved = true
-	m2 = u.s.ws.mark()
-	r := d.fn(u)
-	u.Store(valW, r)
-	u.Store(tagW, d.tag)
-	return false
 }
 
 // opResult reports whether slot tid's operation with the given tag has been

@@ -116,6 +116,41 @@ func TestCrossSingleCollapse(t *testing.T) {
 	}()
 }
 
+// TestStatsSumsFastPathCounters: the store's Stats is the sum of its
+// engines' counters, the fast-path ones included.
+func TestStatsSumsFastPathCounters(t *testing.T) {
+	st, err := NewVolatile(2, false, twoShardRange(), testOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	for i := 0; i < 3; i++ {
+		for _, key := range []uint64{1, 2000} {
+			tm.UpdateSmall(st.Engine(st.ShardFor(key)), func(tx tm.Tx) uint64 {
+				tx.Store(tm.Root(0), tx.Load(tm.Root(0))+1)
+				return 0
+			})
+		}
+	}
+	var want tm.Stats
+	for i := 0; i < st.Shards(); i++ {
+		es := st.Engine(i).Stats()
+		want.Commits += es.Commits
+		want.FastAttempts += es.FastAttempts
+		want.FastCommits += es.FastCommits
+		want.FastFallbacks += es.FastFallbacks
+	}
+	if want.FastCommits != 6 {
+		t.Fatalf("engines report %d fast commits, want 6", want.FastCommits)
+	}
+	got := st.Stats()
+	if got.Commits != want.Commits || got.FastAttempts != want.FastAttempts ||
+		got.FastCommits != want.FastCommits || got.FastFallbacks != want.FastFallbacks {
+		t.Fatalf("Store.Stats = %+v, want the engines' sums %+v", got, want)
+	}
+}
+
 // TestCrossReadOnly: a body with no stores commits nothing anywhere.
 func TestCrossReadOnly(t *testing.T) {
 	st, err := NewVolatile(2, false, twoShardRange(), testOpts()...)

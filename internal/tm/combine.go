@@ -15,7 +15,7 @@ import (
 // value is ready to use. A Future is resolved exactly once, by the engine;
 // callers only read it (Wait/Done). Waiters allocate the wake channel
 // lazily, so a submission that completes before anyone blocks — the solo
-// fast path — never touches the channel machinery.
+// path — never touches the channel machinery.
 type Future struct {
 	state atomic.Uint32 // 0 pending, 1 resolved (release-stores val/err)
 	val   uint64
@@ -34,16 +34,6 @@ func (f *Future) Resolve(val uint64, err error) {
 	if p := f.ch.Load(); p != nil {
 		close(*p)
 	}
-}
-
-// ResolveLocal completes a future that has not yet been published: the
-// resolver still holds the only reference, so no waiter can exist and the
-// channel machinery is skipped entirely. Publication of the pointer (the
-// submission API returning it) is the happens-before edge that makes the
-// result visible. The solo fast path uses this.
-func (f *Future) ResolveLocal(val uint64, err error) {
-	f.val, f.err = val, err
-	f.state.Store(1)
 }
 
 // Reset returns a resolved future to its unresolved state for reuse. Only
@@ -97,10 +87,13 @@ type BatchResult struct {
 type Combining interface {
 	Engine
 	// AsyncUpdate submits fn for execution and returns its future. When
-	// the combiner is idle the caller runs fn itself (the solo fast path:
-	// the future is resolved on return); otherwise the active combiner
-	// picks it up. Body panics are delivered as the future's error, not
-	// re-raised on the submitter.
+	// the combiner is idle the caller runs fn itself (the solo path: the
+	// future is resolved on return); otherwise the active combiner picks
+	// it up. Body panics are delivered as the future's error, not
+	// re-raised on the submitter. A panic of the engine itself (a device
+	// failure) is not a body panic: the operation may have committed, so
+	// it propagates from whichever call executes the operation and the
+	// future stays unresolved.
 	AsyncUpdate(fn func(Tx) uint64) *Future
 	// BatchUpdate submits every fn, lets the combiner merge them into as
 	// few engine transactions as the batch bound allows, and waits for
