@@ -48,13 +48,17 @@ func SPS(e tm.Engine, cfg SPSConfig) float64 {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			idx := make([]int, 2*cfg.SwapsPerTx)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				// A fresh slice per transaction: on the wait-free engines a
+				// helper may still run this body (as a doomed stale
+				// aggregate) after Update returns, so the indices it reads
+				// must never be rewritten.
+				idx := make([]int, 2*cfg.SwapsPerTx)
 				for k := range idx {
 					idx[k] = rng.Intn(cfg.Entries)
 				}

@@ -400,22 +400,14 @@ func (e *Engine) combineSession() {
 }
 
 // gather drains the queue into the combiner's scratch buffer in submission
-// order. When the contention layer reports a busy engine it waits up to
-// combineWindow boundary yields for more submissions to land — the
-// adaptive drain window. A quiet engine has window 0, so a solo submitter
+// order. While other BatchUpdate callers are in flight it lingers up to
+// combineLinger boundary yields for their submissions to land, so the
+// drain spans their windows; otherwise it never waits, so a solo submitter
 // never waits for a batch that is not forming.
 func (e *Engine) gather() []*combReq {
 	buf := e.drainInto(e.comb.scratch[:0])
-	if len(buf) > 0 {
-		w := int(e.cm.combineWindow.Load())
-		// Concurrent BatchUpdate callers are a stronger signal than the
-		// slot sampler (parked submitters never contend for slots): their
-		// next windows are at most a few yields away, so linger long
-		// enough for the drain to span them.
-		if e.comb.inflight.Load() > 1 && w < combineLinger {
-			w = combineLinger
-		}
-		for pass := 0; pass < w && len(buf) < combineBatchMax; pass++ {
+	if len(buf) > 0 && e.comb.inflight.Load() > 1 {
+		for pass := 0; pass < combineLinger && len(buf) < combineBatchMax; pass++ {
 			runtime.Gosched()
 			n := len(buf)
 			buf = e.drainInto(buf)

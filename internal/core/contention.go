@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"onefile/internal/he"
 	"onefile/internal/obs"
 	"onefile/internal/tm"
 )
@@ -28,121 +27,61 @@ import (
 //     workers degrades into a cache miss (measured: per-commit applyWord
 //     cost grows ~5× at 4 workers on one proc, with aborts/helps ≈ 0).
 //
-// The fixes: slot admission parks excess goroutines on a FIFO wait list
-// (release wakes exactly one); helpers deduplicate through a CAS-claimed
-// per-slot help ticket with a *bounded* backoff that falls back to full
-// helping (preserving lock-/wait-freedom; see DESIGN.md); release()
-// voluntarily yields every yieldEvery-th transaction *at the boundary* —
-// slot freed, era cleared — so the scheduler rotates oversubscribed workers
-// at points where they pin nothing, which keeps reclamation tight without
-// async preemption ever firing mid-transaction; and all budgets adapt to
-// observed signals (help/abort rate, sampled era staleness) instead of
-// being constants tuned for dedicated cores.
+// The fixes are a fixed policy, sized once from GOMAXPROCS (DESIGN.md §9
+// has the ablation behind each mechanism): slot admission parks
+// excess goroutines on a FIFO wait list (release wakes exactly one);
+// helpers deduplicate through a CAS-claimed per-slot help ticket with a
+// *bounded* backoff that falls back to full helping (preserving
+// lock-/wait-freedom; see DESIGN.md); and release() voluntarily yields
+// every yieldEvery-th transaction of a slot *at the boundary* — slot freed,
+// era cleared — so the scheduler rotates oversubscribed workers at points
+// where they pin nothing, which keeps reclamation tight without async
+// preemption ever firing mid-transaction.
 
-// Bounds of the adaptive budgets. Initial values are sized from GOMAXPROCS
-// in contention.init; maybeTune moves them within these bounds at runtime.
 const (
-	// acquireSpinMin/Max bound how many full claim-scan passes (one
-	// Gosched between passes) an acquiring goroutine makes before parking.
-	acquireSpinMin = 1
-	acquireSpinMax = 64
-	// helpBackoffMin/Max bound the request-recheck rounds a deduplicated
-	// helper waits for the claimant before falling back to full helping.
-	// The upper bound is what keeps the §III-E progress argument intact:
-	// a helper is delayed by at most helpBackoffMax yields, then helps.
-	helpBackoffMin = 8
-	helpBackoffMax = 512
 	// retryPauseMax caps the yields of contendedPause (bounded backoff
 	// after a lost commit CAS or failed validation).
 	retryPauseMax = 4
-	// tuneEvery is how many slot releases pass between budget re-tunes.
-	tuneEvery = 256
-	// yieldEveryMin/Max bound the boundary-yield period (release yields
-	// every yieldEvery-th transaction). The max is deliberately small
-	// enough that on typical transaction sizes the yields come well inside
-	// the runtime's ~10ms forced-preemption interval — keeping async
-	// preemption from ever firing mid-transaction — while still costing
-	// only one Gosched (~100ns against an empty run queue) per 1Ki
-	// commits when the engine is not oversubscribed.
-	yieldEveryMin = 32
-	yieldEveryMax = 1024
-	// combineWindowMax bounds the group-commit drain window (boundary
-	// yields the combiner waits for more submissions to land; see
-	// combine.go). Small on purpose: each pass is one Gosched, and the
-	// window only opens when tune() sees real contention.
-	combineWindowMax = 8
-	// yieldStaleSeqs is the era-staleness threshold (in transaction
-	// sequence numbers) above which tune() treats a sampled MinProtected
-	// as evidence of a mid-transaction preemption and tightens the
-	// boundary-yield period. Workers legitimately announce eras a handful
-	// of sequences old; only a descheduled one falls ~thousands behind.
-	yieldStaleSeqs = 1024
+	// yieldEvery is the boundary-yield period, counted per slot by its
+	// owner (slot.releases). One Gosched (~100ns against an empty run
+	// queue) per 256 commits is noise when the engine is not
+	// oversubscribed, and on typical transaction sizes the yields come
+	// well inside the runtime's ~10ms forced-preemption interval.
+	yieldEvery = 256
 )
 
-// contention is the engine's contention-management state: adaptive spin
-// budgets and the parking list of the slot-admission path. The hot atomics
-// are padded apart: spinBudget/helpBackoff/waiters are read on the fast
-// path but written rarely, releases is written on every release.
+// contention is the engine's contention-management state: the two budgets,
+// fixed at construction, and the parking list of the slot-admission path.
 type contention struct {
 	// spinBudget is how many claim-scan passes acquire makes (with one
 	// Gosched between passes) before parking.
-	spinBudget atomic.Uint32
+	spinBudget int
 	// helpBackoff is how many request-recheck rounds a helper that lost
 	// the help-ticket race waits before falling back to full helping.
-	helpBackoff atomic.Uint32
-	// yieldEvery is the boundary-yield period: every yieldEvery-th
-	// release the releasing goroutine calls Gosched with no slot claimed
-	// and no era announced, so oversubscribed workers rotate at points
-	// where being descheduled pins nothing (collapse mode 3 above).
-	yieldEvery atomic.Uint32
-	// combineWindow is the group-commit drain window: how many boundary
-	// yields a combiner that found work waits for further submissions
-	// before executing (combine.go). Zero while the engine is quiet, so a
-	// solo submitter never waits for a batch that is not forming.
-	combineWindow atomic.Uint32
+	helpBackoff int
 	// waiters counts goroutines registered on (or entering) the parking
 	// list; release skips the park mutex entirely while it is zero.
 	waiters atomic.Int32
-	_       [48]byte
-	// releases counts release() calls; it drives both the boundary yield
-	// and re-tuning (every tuneEvery-th release).
-	releases atomic.Uint32
-	_        [60]byte
 
 	// parks counts park events (observability; tests assert it moved).
 	parks atomic.Uint64
 
 	parkMu sync.Mutex
 	parked []chan struct{} // FIFO of parked acquirers
-
-	tuneMu      sync.Mutex // serialises re-tunes; contenders skip (TryLock)
-	lastCommits uint64
-	lastAborts  uint64
-	lastHelps   uint64
 }
 
 // init sizes the budgets for the host. With a single schedulable thread,
 // spinning can never observe a release made by a concurrently *running*
 // thread, so admission parks almost immediately; with more, a short spin
-// frequently catches a release without paying a park/wake round trip.
+// frequently catches a release without paying a park/wake round trip. The
+// help backoff is capped at 512 yields: that cap is the constant by which
+// helper deduplication enlarges the §III-E progress bound.
 func (c *contention) init(procs int) {
-	spin := uint32(4 * procs)
-	if procs <= 1 {
-		spin = acquireSpinMin
+	c.spinBudget = 1
+	if procs > 1 {
+		c.spinBudget = min(4*procs, 64)
 	}
-	c.spinBudget.Store(clampU32(spin, acquireSpinMin, acquireSpinMax))
-	c.helpBackoff.Store(clampU32(uint32(32*procs), helpBackoffMin, helpBackoffMax))
-	c.yieldEvery.Store(256)
-}
-
-func clampU32(v, lo, hi uint32) uint32 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	c.helpBackoff = min(32*procs, 512)
 }
 
 // tryClaim makes one scan over the slots from start, claiming the first
@@ -257,8 +196,7 @@ func (e *Engine) claimHelp(owner *slot, txid uint64) bool {
 	if t < txid && owner.helpTicket.CompareAndSwap(t, txid) {
 		return true // sole claimant: do the work
 	}
-	budget := int(e.cm.helpBackoff.Load())
-	for i := 0; i < budget; i++ {
+	for i := 0; i < e.cm.helpBackoff; i++ {
 		if owner.request.Load() != txid {
 			return false
 		}
@@ -279,81 +217,4 @@ func (e *Engine) contendedPause(round int) {
 	for i := 0; i <= round; i++ {
 		runtime.Gosched()
 	}
-}
-
-// tune re-sizes the adaptive budgets (called every tuneEvery releases) from
-// two observed signals.
-//
-// Help/abort rate, summed from the per-slot counters: a storming engine
-// (many helps/aborts per commit) wants admission to park sooner — spinning
-// acquirers only steal timeslices from the workers they wait on — and
-// helpers to wait longer before duplicating an apply phase; a quiet engine
-// wants the opposite. GOMAXPROCS enters through the initial sizing
-// (contention.init).
-//
-// Era staleness, sampled as curTx's sequence minus MinProtected: a worker
-// descheduled mid-transaction leaves its announced era thousands of
-// sequences behind, which stalls pair reclamation and cools the cache
-// (collapse mode 3). The response is fast-attack/slow-decay: a stale sample
-// cuts the boundary-yield period by 8× so workers start rotating at
-// transaction boundaries within a few tune periods; fresh samples double it
-// back toward the (never fully off) maximum.
-func (e *Engine) tune() {
-	c := &e.cm
-	if !c.tuneMu.TryLock() {
-		return
-	}
-	defer c.tuneMu.Unlock()
-	var commits, aborts, helps uint64
-	for i := range e.slots {
-		st := &e.slots[i].st
-		commits += st.commits.Load() + st.readCommits.Load()
-		aborts += st.aborts.Load() + st.readAborts.Load()
-		helps += st.helps.Load()
-	}
-	dc := commits - c.lastCommits
-	da := aborts - c.lastAborts
-	dh := helps - c.lastHelps
-	c.lastCommits, c.lastAborts, c.lastHelps = commits, aborts, helps
-	if dc == 0 {
-		dc = 1
-	}
-	contended := 4*(da+dh) >= dc // >25% of commits saw a help or an abort
-	adjustBudget(&c.spinBudget, !contended, acquireSpinMin, acquireSpinMax)
-	adjustBudget(&c.helpBackoff, contended, helpBackoffMin, helpBackoffMax)
-
-	// Group-commit drain window: contention means submissions overlap, so
-	// waiting a few boundary yields grows batches and amortises the commit
-	// pipeline; quiet means a waiting combiner would only add latency, so
-	// the window decays to zero (fast-open, fast-close — both directions
-	// converge within three tune periods).
-	if contended {
-		w := c.combineWindow.Load() * 2
-		if w == 0 {
-			w = 2
-		}
-		c.combineWindow.Store(clampU32(w, 0, combineWindowMax))
-	} else {
-		c.combineWindow.Store(c.combineWindow.Load() / 2)
-	}
-
-	cur := seqOf(e.curTx.Load())
-	min := e.eras.MinProtected()
-	if min != he.None && cur > min && cur-min >= yieldStaleSeqs {
-		c.yieldEvery.Store(clampU32(c.yieldEvery.Load()/8, yieldEveryMin, yieldEveryMax))
-		e.obsEvent(obs.EvEraStall, -1, cur-min)
-	} else {
-		adjustBudget(&c.yieldEvery, true, yieldEveryMin, yieldEveryMax)
-	}
-}
-
-// adjustBudget doubles (up) or halves an adaptive budget within [lo, hi].
-func adjustBudget(b *atomic.Uint32, up bool, lo, hi uint32) {
-	v := b.Load()
-	if up {
-		v *= 2
-	} else {
-		v /= 2
-	}
-	b.Store(clampU32(v, lo, hi))
 }

@@ -122,6 +122,14 @@ type slot struct {
 	pool       pairPool
 	replaced   []*dcas.Pair // pairs unlinked by the current apply phase
 	flushAddrs []uint64     // scratch for sorting dirty words by cache line
+	// flushLine is the scratch line handed to Device.FlushPairLine: arrays
+	// passed through the interface escape, so stack copies would cost
+	// three heap allocations per flushed line.
+	flushLine lineBuf
+
+	// releases counts this slot's releases and drives the boundary yield
+	// (release). Written only by the claimant, before the claim clears.
+	releases uint32
 
 	// Reusable transaction handles (their address escapes through the
 	// tm.Tx interface, so per-transaction values would heap-allocate).
@@ -200,7 +208,7 @@ type Engine struct {
 	closed       atomic.Bool
 
 	// cm is the contention-management layer (contention.go): parked slot
-	// admission, helper deduplication budgets, adaptive spin sizing.
+	// admission and the fixed spin and helper-backoff budgets.
 	cm contention
 
 	// comb is the group-commit combining layer (combine.go): AsyncUpdate/
@@ -309,6 +317,9 @@ func newEngine(cfg tm.Config, waitFree bool, dev pmem.Device, attach bool) (*Eng
 	e.dynBase = e.resultsBase + tm.Ptr(2*cfg.MaxThreads)
 	if int(e.dynBase)+64 > cfg.HeapWords {
 		return nil, fmt.Errorf("core: heap of %d words too small for %d thread slots", cfg.HeapWords, cfg.MaxThreads)
+	}
+	if uint64(cfg.HeapWords) > logAddrMask {
+		return nil, fmt.Errorf("core: heap of %d words exceeds the %d-bit log address field", cfg.HeapWords, logAddrBits)
 	}
 	if dev != nil {
 		want := DeviceConfig(dev.Mode(), 0, func(c *tm.Config) { *c = cfg })
@@ -430,6 +441,11 @@ func (e *Engine) attach() error {
 		e.curTx.Store(cur)
 		e.dev.FlushPair(0, e.curTxImg, cur, cur)
 		e.dev.Fence(0)
+	case e.pending(cur) && !e.logIntact(cur):
+		// The owner's next transaction had begun to overwrite the log, so
+		// cur completed durably before the crash: close its request
+		// instead of replaying a mixed log (here or in any later helper).
+		e.slots[tidOf(cur)].request.Store(cur + 1)
 	case e.pending(cur):
 		// Null recovery: the regular helping path finishes the last
 		// committed transaction if its request is still open. Stale open
@@ -448,6 +464,31 @@ func (e *Engine) attach() error {
 		e.slots[i].opTag = val &^ opFailBit
 	}
 	return nil
+}
+
+// logIntact reports whether every entry of txid's slot log carries txid's
+// log tag. A request that still reads as txid while some entry carries
+// another tag means the slot's next transaction had started overwriting
+// the log, which it does only after txid's request closed — so txid is
+// already durable and its log must not be replayed (see logTag). A log
+// with no tags at all was written before tags existed and replays as
+// before.
+func (e *Engine) logIntact(txid uint64) bool {
+	s := &e.slots[tidOf(txid)]
+	n := s.logNum.Load()
+	if n == 0 || n > uint64(e.cfg.MaxStores) {
+		return n == 0
+	}
+	tag := s.logEnt[0].Load() &^ logAddrMask
+	if tag != logTag(seqOf(txid)) && tag != 0 {
+		return false
+	}
+	for i := uint64(1); i < n; i++ {
+		if s.logEnt[2*i].Load()&^logAddrMask != tag {
+			return false
+		}
+	}
+	return true
 }
 
 // Name implements tm.Engine.
@@ -538,21 +579,35 @@ func (e *Engine) Recover() error {
 }
 
 // acquire claims a thread slot — MaxThreads acts as a concurrency
-// throttle. It spins for the adaptive budget (contention.go), then parks on
-// the engine's wait list until a release wakes it, so goroutines beyond
-// MaxThreads sleep instead of timeslicing against the workers they are
-// waiting on. Transactions begun after Close fail fast.
-func (e *Engine) acquire() *slot { return e.acquireG(false) }
+// throttle. The happy path is one load of the claim hint (no XADD: a solo
+// caller reuses the same slot run after run), one claim CAS on that slot
+// and one load of the exclusivity gate. Anything else — slot taken, gate
+// closed — falls to acquireG's rotating scan, spin, park and gate pass, so
+// goroutines beyond MaxThreads sleep instead of timeslicing against the
+// workers they are waiting on. Transactions begun after Close fail fast.
+func (e *Engine) acquire() *slot {
+	if e.closed.Load() {
+		panic(tm.ErrEngineClosed)
+	}
+	s := &e.slots[e.claimHint.Load()%uint32(len(e.slots))]
+	if s.claimed.Load() == 0 && s.claimed.CompareAndSwap(0, 1) {
+		if e.excl.gate.v.Load() == 0 {
+			return s
+		}
+		e.unclaim(s)
+	}
+	return e.acquireG(false)
+}
 
-// acquireG is acquire with an explicit gate policy: the exclusivity
-// holder's own transactions (UpdateExclusive) bypass the gate, everyone
-// else backs off a claimed slot the moment the gate is observed closed and
-// parks until it reopens (exclusive.go). The gate check is one load of a
-// padded atomic after the claim CAS — the ungated fast path cost. A parked
-// acquirer may return from gateWait holding an anti-starvation pass: its
-// next successful claim skips the gate check, and the pass count is
-// decremented only after that claim CAS so the exclusive drain orders
-// itself behind the claim.
+// acquireG is acquire's slow path with an explicit gate policy: the
+// exclusivity holder's own transactions (UpdateExclusive) bypass the gate,
+// everyone else backs off a claimed slot the moment the gate is observed
+// closed and parks until it reopens (exclusive.go). The gate check is one
+// load of a padded atomic after the claim CAS. A parked acquirer may
+// return from gateWait holding an anti-starvation pass: its next
+// successful claim skips the gate check, and the pass count is decremented
+// only after that claim CAS so the exclusive drain orders itself behind
+// the claim.
 func (e *Engine) acquireG(bypassGate bool) *slot {
 	if e.closed.Load() {
 		panic(tm.ErrEngineClosed)
@@ -564,8 +619,7 @@ func (e *Engine) acquireG(bypassGate bool) *slot {
 	start := int(e.claimHint.Add(1) % uint32(n))
 	pass := false
 	for {
-		budget := int(e.cm.spinBudget.Load())
-		for spin := 0; spin <= budget; spin++ {
+		for spin := 0; spin <= e.cm.spinBudget; spin++ {
 			if s := e.tryClaim(start); s != nil {
 				if !bypassGate && !pass && e.excl.gate.v.Load() != 0 {
 					e.unclaim(s)
@@ -598,19 +652,19 @@ func (e *Engine) acquireG(bypassGate bool) *slot {
 
 // release clears the slot's era announcement before the claim flag: the
 // next claimant of the same slot announces its own era, and a stale Clear
-// must never stomp it. It then wakes one parked acquirer, if any, and
-// drives the budget re-tuning.
+// must never stomp it. The boundary-yield counter is owner-private and is
+// bumped before the claim flag clears, so the next claimant's CAS orders
+// it. Release then wakes one parked acquirer, if any, and every
+// yieldEvery-th release of the slot yields the processor.
 func (e *Engine) release(s *slot) {
 	e.eras.Clear(s.id)
+	s.releases++
+	yield := s.releases%yieldEvery == 0
 	s.claimed.Store(0)
 	if e.cm.waiters.Load() > 0 {
 		e.wakeOne()
 	}
-	n := e.cm.releases.Add(1)
-	if n%tuneEvery == 0 {
-		e.tune()
-	}
-	if n%e.cm.yieldEvery.Load() == 0 {
+	if yield {
 		// Boundary yield (contention.go): the slot and era are already
 		// released, so being descheduled here pins nothing.
 		runtime.Gosched()

@@ -166,55 +166,8 @@ func (t *fTx) Free(tm.Ptr) {
 // The returned outcome tells steady-state callers whether probing again is
 // worthwhile.
 func (e *Engine) UpdateSmall(fn func(tx tm.Tx) uint64) (uint64, tm.SmallOutcome) {
-	s := e.acquireFast()
-	fast := false
-	defer func() {
-		if fast {
-			e.releaseFast(s)
-		} else {
-			e.release(s) // the fallback ran the full path; keep its tuner fed
-		}
-	}()
-	res, out := e.updateSmall(s, fn)
-	fast = out == tm.SmallCommitted
-	return res, out
-}
-
-// acquireFast claims a slot for a fast-path attempt with the minimum
-// bookkeeping: one load of the rotation hint (no XADD — a solo caller
-// reuses the same slot run after run) and one claim CAS on that slot.
-// Anything off the happy path — slot taken, exclusivity gate closed —
-// defers to the full acquireG, which owns hint rotation, spinning, parking
-// and gate passes.
-func (e *Engine) acquireFast() *slot {
-	if e.closed.Load() {
-		panic(tm.ErrEngineClosed)
-	}
-	s := &e.slots[e.claimHint.Load()%uint32(len(e.slots))]
-	if s.claimed.Load() == 0 && s.claimed.CompareAndSwap(0, 1) {
-		if e.excl.gate.v.Load() == 0 {
-			return s
-		}
-		e.unclaim(s)
-	}
-	return e.acquireG(false)
-}
-
-// releaseFast is release without the adaptive-tuning bookkeeping (the
-// releases XADD, the tune trigger, the boundary yield): a fast commit's
-// whole point is a minimum barrier count, and any full-path traffic keeps
-// the tuner fed. Parked acquirers are still woken — that is liveness, not
-// tuning.
-func (e *Engine) releaseFast(s *slot) {
-	e.eras.Clear(s.id)
-	s.claimed.Store(0)
-	if e.cm.waiters.Load() > 0 {
-		e.wakeOne()
-	}
-}
-
-// updateSmall is UpdateSmall with the slot already acquired.
-func (e *Engine) updateSmall(s *slot, fn func(tx tm.Tx) uint64) (uint64, tm.SmallOutcome) {
+	s := e.acquire()
+	defer e.release(s)
 	o := e.obsv.Load()
 	var start time.Time
 	if o != nil {
@@ -369,24 +322,20 @@ func runFastBody(fn func(tm.Tx) uint64, t *fTx) (res uint64, ok bool) {
 // helper already closed us after flushing and draining, so nothing is
 // flushed and no fence is needed.
 func (e *Engine) flushFast(s *slot, t *fTx, seq uint64) {
-	var (
-		idx  [pmem.PairLineWords]int
-		vals [pmem.PairLineWords]uint64
-		seqs [pmem.PairLineWords]uint64
-	)
+	l := &s.flushLine
 	k := 0
 	for i := 0; i < t.n; i++ {
 		p := e.words[t.addr[i]].Snapshot()
 		if p.Seq != seq {
 			continue
 		}
-		idx[k], vals[k], seqs[k] = int(t.addr[i]), p.Val, p.Seq
+		l.idx[k], l.vals[k], l.seqs[k] = int(t.addr[i]), p.Val, p.Seq
 		k++
 	}
 	if k == 0 {
 		return
 	}
-	e.dev.FlushPairLine(s.id, k, &idx, &vals, &seqs)
+	e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
 	e.dev.Fence(s.id)
 }
 

@@ -265,6 +265,80 @@ func TestPTMNullRecovery(t *testing.T) {
 	}
 }
 
+// TestPTMMixedLogNotReplayed covers a slot that commits twice in a row:
+// the second transaction overwrites the slot's log while the durable
+// request and curTx image still name the first, and a crash may persist
+// some of the new log lines but not the line holding the new request.
+// Recovery must recognise the mixed log by its entry tags and close the
+// request instead of replaying foreign entries into the heap.
+func TestPTMMixedLogNotReplayed(t *testing.T) {
+	for _, wf := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wf=%v", wf), func(t *testing.T) {
+			e, dev := newPTM(t, wf, pmem.StrictMode, 1)
+			e.Update(func(tx tm.Tx) uint64 {
+				for i := 0; i < 6; i++ { // 2+12 log words: two log lines
+					tx.Store(tm.Root(i), uint64(i+1))
+				}
+				return 0
+			})
+			cur := e.curTx.Load()
+			s := &e.slots[tidOf(cur)]
+			if dev.ImageRaw(s.logOff) != cur {
+				t.Fatalf("durable request %d, want the committed %d", dev.ImageRaw(s.logOff), cur)
+			}
+			// The slot's next transaction has written entries 3..5 (the
+			// log's second line) and that line alone became durable.
+			next := logTag(seqOf(cur) + 1)
+			for i := 3; i < 6; i++ {
+				s.logEnt[2*i].Store(uint64(tm.Root(6+i)) | next)
+				s.logEnt[2*i+1].Store(99)
+			}
+			dev.Flush(s.id, s.logOff+pmem.LineWords, pmem.LineWords)
+			dev.Crash()
+			r, err := newPTMOn(dev, wf, true)
+			if err != nil {
+				t.Fatalf("attach: %v", err)
+			}
+			r.Update(func(tx tm.Tx) uint64 { tx.Store(tm.Root(20), 1); return 0 })
+			for i := 0; i < 12; i++ {
+				want := uint64(0)
+				if i < 6 {
+					want = uint64(i + 1)
+				}
+				if got := r.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(i)) }); got != want {
+					t.Fatalf("Root(%d) = %d after recovery, want %d", i, got, want)
+				}
+			}
+		})
+	}
+	// A log with no tags at all (written before tags existed) still
+	// replays: its last entry, pointed at an unwritten word, lands.
+	e, dev := newPTM(t, false, pmem.StrictMode, 1)
+	e.Update(func(tx tm.Tx) uint64 {
+		for i := 0; i < 6; i++ {
+			tx.Store(tm.Root(i), uint64(i+1))
+		}
+		return 0
+	})
+	cur := e.curTx.Load()
+	s := &e.slots[tidOf(cur)]
+	s.request.Store(cur) // the durable request still names cur
+	for i := 0; i < 6; i++ {
+		s.logEnt[2*i].Store(s.logEnt[2*i].Load() & logAddrMask)
+	}
+	s.logEnt[2*5].Store(uint64(tm.Root(11)))
+	s.logEnt[2*5+1].Store(77)
+	dev.Flush(s.id, s.logOff, 2+12)
+	dev.Crash()
+	r, err := newPTMOn(dev, false, true)
+	if err != nil {
+		t.Fatalf("attach: %v", err)
+	}
+	if got := r.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(11)) }); got != 77 {
+		t.Fatalf("untagged log not replayed: Root(11) = %d, want 77", got)
+	}
+}
+
 // TestPTMKilledWorkerIsHelped abandons a worker mid-apply (after its commit
 // CAS) and checks that another thread completes the transaction — the
 // lock-free helping property that underpins null recovery.

@@ -175,8 +175,8 @@ func (e *Engine) transform(s *slot, fn func(tx tm.Tx) uint64, startSeq uint64) (
 // persist the modified words, close the request. Returns false if the
 // commit CAS lost.
 func (e *Engine) commitAndApply(s *slot, oldTx, newTx uint64) bool {
-	s.ws.publish()         // numStores becomes visible to helpers
-	s.request.Store(newTx) // step 5: open the request
+	s.ws.publish(logTag(seqOf(newTx))) // numStores becomes visible to helpers
+	s.request.Store(newTx)             // step 5: open the request
 	if e.dev != nil {
 		// Step 6: one pwb per cache line of the write-set (the request
 		// and numStores words share the log's first line).
@@ -257,6 +257,14 @@ func (e *Engine) applyWord(s *slot, addr, val, seq uint64) {
 	}
 }
 
+// lineBuf holds the word snapshots of one pair-region cache line for
+// Device.FlushPairLine (the device copies them before returning).
+type lineBuf struct {
+	idx  [pmem.PairLineWords]int
+	vals [pmem.PairLineWords]uint64
+	seqs [pmem.PairLineWords]uint64
+}
+
 // flushWords persists the current content of every heap word listed in
 // addrs (step 9 — every address is flushed even when another helper won the
 // DCAS, so the word is durable before the request closes). Addresses are
@@ -273,11 +281,7 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int) {
 	sortUint64(buf)
 	s.flushAddrs = buf
 
-	var (
-		idx  [pmem.PairLineWords]int
-		vals [pmem.PairLineWords]uint64
-		seqs [pmem.PairLineWords]uint64
-	)
+	l := &s.flushLine
 	k := 0
 	curLine := -1
 	prev := ^uint64(0)
@@ -288,16 +292,16 @@ func (e *Engine) flushWords(s *slot, addrs []uint64, stride int) {
 		prev = addr
 		line := int(addr) / pmem.PairLineWords
 		if k > 0 && line != curLine {
-			e.dev.FlushPairLine(s.id, k, &idx, &vals, &seqs)
+			e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
 			k = 0
 		}
 		curLine = line
 		p := e.words[addr].Snapshot()
-		idx[k], vals[k], seqs[k] = int(addr), p.Val, p.Seq
+		l.idx[k], l.vals[k], l.seqs[k] = int(addr), p.Val, p.Seq
 		k++
 	}
 	if k > 0 {
-		e.dev.FlushPairLine(s.id, k, &idx, &vals, &seqs)
+		e.dev.FlushPairLine(s.id, k, &l.idx, &l.vals, &l.seqs)
 	}
 }
 
@@ -338,8 +342,9 @@ func (e *Engine) helpApply(txid uint64, helper *slot) {
 		helper.helpBuf = make([]uint64, 2*n)
 	}
 	buf := helper.helpBuf[:2*n]
-	for i := range buf {
-		buf[i] = owner.logEnt[i].Load()
+	for i := 0; i < len(buf); i += 2 {
+		buf[i] = owner.logEnt[i].Load() & logAddrMask // strip the log tag
+		buf[i+1] = owner.logEnt[i+1].Load()
 	}
 	if owner.request.Load() != txid {
 		return // the write-set was re-used; the transaction is done

@@ -160,15 +160,33 @@ func (w *writeSet) buildHash() {
 	}
 }
 
-// publish copies the final entries into the shared log and makes the store
-// count visible to helpers (called just before the request is opened — the
-// only point the shared array has to agree with the mirror). Deferring the
-// copy keeps the transform phase free of shared-array traffic: a combined
-// transaction that replaces a hot word hundreds of times pays exactly one
-// shared store for it here.
-func (w *writeSet) publish() {
+// Log tags. Every address a full-path commit publishes into its slot's log
+// carries the low bits of the transaction's sequence above logAddrBits.
+// Recovery replays a slot's durable log only if every entry carries the
+// tag of the durable curTx (logIntact): a slot that commits twice in a row
+// overwrites its log while the durable request and curTx image still name
+// the previous transaction, and a crash can then persist some of the new
+// log lines without the line holding the new request. Such a mixed log is
+// never replayed — the previous transaction completed durably before its
+// slot was reused. Heap addresses must fit below the tag (newEngine).
+const (
+	logAddrBits = 40
+	logAddrMask = 1<<logAddrBits - 1
+)
+
+// logTag returns the tag of a transaction with sequence seq (its low
+// 64-logAddrBits bits, shifted above the address).
+func logTag(seq uint64) uint64 { return seq << logAddrBits }
+
+// publish copies the final entries into the shared log, each address
+// tagged with tag, and makes the store count visible to helpers (called
+// just before the request is opened — the only point the shared array has
+// to agree with the mirror). Deferring the copy keeps the transform phase
+// free of shared-array traffic: a combined transaction that replaces a hot
+// word hundreds of times pays exactly one shared store for it here.
+func (w *writeSet) publish(tag uint64) {
 	for i := 0; i < w.n; i++ {
-		w.ent[2*i].Store(w.keys[i])
+		w.ent[2*i].Store(w.keys[i] | tag)
 		w.ent[2*i+1].Store(w.vals[i])
 	}
 	w.num.Store(uint64(w.n))

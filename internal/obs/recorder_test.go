@@ -34,7 +34,7 @@ func TestRecorderWraparound(t *testing.T) {
 // what was recorded, oldest first.
 func TestRecorderPartialFill(t *testing.T) {
 	r := NewRecorder(64)
-	kinds := []EventKind{EvPark, EvUnpark, EvBatchDrain, EvEraStall, EvHelp}
+	kinds := []EventKind{EvPark, EvUnpark, EvBatchDrain, EvCommit, EvHelp}
 	for i, k := range kinds {
 		r.Record(k, i, uint64(100+i))
 	}
@@ -111,12 +111,13 @@ func TestRecorderNilSafe(t *testing.T) {
 
 // TestEventKindStrings pins the dump vocabulary.
 func TestEventKindStrings(t *testing.T) {
-	for k := EvCommit; k <= EvEraStall; k++ {
+	for k := EvCommit; k <= EvBatchDrain; k++ {
 		if k.String() == "unknown" {
 			t.Fatalf("kind %d has no name", k)
 		}
 	}
-	if EventKind(0).String() != "unknown" || EventKind(200).String() != "unknown" {
+	if EventKind(0).String() != "unknown" || (EvBatchDrain+1).String() != "unknown" ||
+		EventKind(200).String() != "unknown" {
 		t.Fatal("out-of-range kinds must stringify as unknown")
 	}
 }
