@@ -20,13 +20,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"onefile/internal/crashcheck"
-	"onefile/internal/pmem"
-	"onefile/internal/pmem/filedev"
 )
 
 var (
@@ -43,18 +40,6 @@ var (
 	fileDirFlag = flag.String("file-dir", "", "scratch directory for -device file (default: /dev/shm if present, else TMPDIR)")
 )
 
-// fileFactory builds each sweep point's device as a freshly formatted mmap
-// file under dir. Points run sequentially, so two alternating paths suffice.
-func fileFactory(dir string) crashcheck.DeviceFactory {
-	n := 0
-	return func(cfg pmem.Config) (pmem.Device, error) {
-		n++
-		path := filepath.Join(dir, fmt.Sprintf("sweep-%d.img", n%2))
-		os.Remove(path)
-		return filedev.Create(path, cfg)
-	}
-}
-
 func main() {
 	flag.Parse()
 	if *listFlag {
@@ -64,16 +49,7 @@ func main() {
 		return
 	}
 
-	cfg := crashcheck.Config{
-		Txns:     *txnsFlag,
-		Seed:     *seedFlag,
-		Stride:   *strideFlag,
-		Strict:   *strictFlag,
-		FastPath: *fastFlag,
-	}
-	if *enginesFlag != "" {
-		cfg.Engines = strings.Split(*enginesFlag, ",")
-	}
+	cfg := crashcheck.Config{Stride: *strideFlag, Strict: *strictFlag}
 	for _, s := range strings.Split(*relaxedFlag, ",") {
 		s = strings.TrimSpace(s)
 		if s == "" {
@@ -109,10 +85,43 @@ func main() {
 			os.Exit(2)
 		}
 		cleanup = func() { os.RemoveAll(dir) }
-		cfg.Device = fileFactory(dir)
+		cfg.Device = crashcheck.FileDevices(dir)
 	default:
 		fmt.Fprintf(os.Stderr, "onefile-crashcheck: unknown -device %q (want sim or file)\n", *deviceFlag)
 		os.Exit(2)
+	}
+
+	txns, seed := *txnsFlag, *seedFlag
+	if txns <= 0 {
+		txns = 10
+	}
+	if seed == 0 {
+		seed = 1
+	}
+	var names []string
+	switch {
+	case *enginesFlag != "":
+		names = strings.Split(*enginesFlag, ",")
+	case *fastFlag:
+		names = []string{"OF-LF-PTM", "OF-WF-PTM"}
+	default:
+		for _, d := range crashcheck.Engines() {
+			names = append(names, d.Name)
+		}
+	}
+	p, fp := crashcheck.NewProgram(seed, txns), crashcheck.NewFastProgram(seed, txns)
+	for _, name := range names {
+		def, err := crashcheck.EngineByName(name)
+		if err != nil {
+			cleanup()
+			fmt.Fprintf(os.Stderr, "onefile-crashcheck: %v\n", err)
+			os.Exit(2)
+		}
+		if *fastFlag {
+			cfg.Workloads = append(cfg.Workloads, crashcheck.Fast(def, fp))
+		} else {
+			cfg.Workloads = append(cfg.Workloads, crashcheck.Canonical(def, p))
+		}
 	}
 
 	res, err := crashcheck.Run(cfg)

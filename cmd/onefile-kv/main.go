@@ -39,7 +39,7 @@ import (
 )
 
 var (
-	addr = flag.String("addr", ":6380", "RESP listen address")
+	addr        = flag.String("addr", ":6380", "RESP listen address")
 	metricsAddr = flag.String("metrics", "",
 		"serve /metrics, /debug/vars and /debug/flightrecorder on this address (empty: disabled)")
 	filePath = flag.String("file", "",

@@ -1,7 +1,6 @@
 package crashcheck
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -9,7 +8,7 @@ import (
 	"onefile/internal/tm"
 )
 
-// Fast-path crash sweep: the small-transaction DCAS fast path (DESIGN.md
+// Fast-path workload: the small-transaction DCAS fast path (DESIGN.md
 // §14) deliberately commits WITHOUT flushing the curTx image — exactly one
 // pwb + one pfence per transaction — and recovery compensates by adopting
 // the maximum durable word sequence when it runs ahead of the durable image.
@@ -42,9 +41,8 @@ type fastTxn struct {
 // FastProgram is the deterministic transaction list of the fast-path
 // workload plus its oracle digests, analogous to Program.
 type FastProgram struct {
-	Seed   int64
-	txns   []fastTxn
-	states []string
+	oracle
+	txns []fastTxn
 }
 
 // NewFastProgram derives the fast-path workload from seed: txns
@@ -53,7 +51,7 @@ type FastProgram struct {
 // third full-path 3-store transactions.
 func NewFastProgram(seed int64, txns int) *FastProgram {
 	rng := rand.New(rand.NewSource(seed))
-	p := &FastProgram{Seed: seed}
+	p := &FastProgram{oracle: oracle{Seed: seed, mixed: txns}}
 	// Root slots whose heap words share a pair cache line, grouped, so a
 	// generated two-store transaction is always fast-path eligible on a PTM.
 	var groups [][]int
@@ -118,17 +116,11 @@ func NewFastProgram(seed int64, txns int) *FastProgram {
 	return p
 }
 
-// Len returns the number of transactions in the program.
-func (p *FastProgram) Len() int { return len(p.txns) }
-
-// StateAfter returns the oracle digest after the first k transactions.
-func (p *FastProgram) StateAfter(k int) string { return p.states[k] }
-
 func fastDigest(words [fpSlots]uint64) string { return fmt.Sprintf("%x", words) }
 
 // run executes the program on e: small transactions via tm.UpdateSmall
 // (riding the engine's fast path when one exists), full ones via e.Update.
-func (p *FastProgram) run(e tm.Engine, acked func()) {
+func (p *FastProgram) run(e tm.Engine, acked func(n int)) error {
 	for _, t := range p.txns {
 		tc := t
 		body := func(tx tm.Tx) uint64 {
@@ -142,8 +134,9 @@ func (p *FastProgram) run(e tm.Engine, acked func()) {
 		} else {
 			tm.UpdateSmall(e, body)
 		}
-		acked()
+		acked(1)
 	}
+	return nil
 }
 
 // readFastState reads the recovered engine's root words back into a digest.
@@ -158,112 +151,44 @@ func readFastState(e tm.Engine) string {
 	return fastDigest(words)
 }
 
-// EnumerateFast counts the persistence events of the fast-path workload
-// (its crash-point space); deterministic for a given (engine, program).
-func EnumerateFast(def EngineDef, mode pmem.Mode, p *FastProgram) (int, error) {
-	return EnumerateFastOn(nil, def, mode, p)
+// fastWorkload runs a FastProgram on one engine with a fast path.
+type fastWorkload struct {
+	*FastProgram
+	def EngineDef
 }
 
-// EnumerateFastOn is EnumerateFast with an explicit device factory
-// (nil = simulator).
-func EnumerateFastOn(fac DeviceFactory, def EngineDef, mode pmem.Mode, p *FastProgram) (int, error) {
-	dev, err := fac.newDevice(def.DeviceConfig(mode, 1, engineOpts()...))
+// Fast returns the fast-path workload: p on def, whose small transactions
+// go through tm.UpdateSmall. Only engines with a fast path
+// (tm.SmallUpdater, the OneFile PTMs) are eligible.
+func Fast(def EngineDef, p *FastProgram) Workload { return &fastWorkload{FastProgram: p, def: def} }
+
+func (w *fastWorkload) Name() string { return w.def.Name }
+
+func (w *fastWorkload) ident() (int64, int, int) { return w.Seed, w.mixed, 0 }
+
+func (w *fastWorkload) Open(fac DeviceFactory, mode pmem.Mode, devSeed int64) ([]pmem.Device, func(func(int)) error, error) {
+	dev, e, err := openEngine(fac, w.def, mode, devSeed)
 	if err != nil {
-		return 0, err
-	}
-	defer dev.Close()
-	e, err := def.New(dev, false, engineOpts()...)
-	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
 	if _, ok := e.(tm.SmallUpdater); !ok {
-		return 0, fmt.Errorf("crashcheck: %s has no small-transaction fast path; fast-path sweep is not meaningful", def.Name)
+		dev.Close()
+		return nil, nil, fmt.Errorf("crashcheck: %s has no small-transaction fast path; fast-path sweep is not meaningful", w.def.Name)
 	}
-	n := 0
-	dev.SetHook(func(pmem.Event) { n++ })
-	p.run(e, func() {})
-	dev.SetHook(nil)
-	return n, nil
+	return []pmem.Device{dev}, func(acked func(int)) error { return w.run(e, acked) }, nil
 }
 
-// RunPointFast runs the fast-path workload, crashes at persistence event
-// number event (1-based), recovers and verifies: recovery succeeds (the
-// word-ahead-of-image adoption in core's attach), the root words equal the
-// oracle after exactly acked or acked+1 transactions, and the recovered
-// engine still commits on BOTH paths.
-func RunPointFast(def EngineDef, mode pmem.Mode, devSeed int64, p *FastProgram, event int) (completed bool, err error) {
-	return RunPointFastOn(nil, def, mode, devSeed, p, event)
-}
+func (w *fastWorkload) Inflight(int) int { return 1 }
 
-// RunPointFastOn is RunPointFast with an explicit device factory
-// (nil = simulator).
-func RunPointFastOn(fac DeviceFactory, def EngineDef, mode pmem.Mode, devSeed int64, p *FastProgram, event int) (completed bool, err error) {
-	dev, err := fac.newDevice(def.DeviceConfig(mode, devSeed, engineOpts()...))
+// Recover skips the allocator audit (fast transactions never allocate, so
+// it is vacuous) and checks liveness on both commit protocols.
+func (w *fastWorkload) Recover(devs []pmem.Device, check func(string) error) error {
+	e, err := w.def.New(devs[0], true, engineOpts()...)
 	if err != nil {
-		return false, err
+		return fmt.Errorf("recovery failed: %w", err)
 	}
-	defer dev.Close()
-	e, err := def.New(dev, false, engineOpts()...)
-	if err != nil {
-		return false, err
+	if err := check(readFastState(e)); err != nil {
+		return err
 	}
-
-	n := 0
-	dev.SetHook(func(pmem.Event) {
-		n++
-		if n >= event {
-			panic(crashSignal{event: event})
-		}
-	})
-	acked := 0
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); ok {
-					crashed = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.run(e, func() { acked++ })
-	}()
-	dev.SetHook(nil)
-	if !crashed {
-		return true, nil
-	}
-
-	dev.Crash()
-
-	r, err := def.New(dev, true, engineOpts()...)
-	if err != nil {
-		return false, fmt.Errorf("recovery failed after %d acked txns: %w", acked, err)
-	}
-
-	got := readFastState(r)
-	next := min(acked+1, p.Len())
-	if got != p.StateAfter(acked) && got != p.StateAfter(next) {
-		return false, fmt.Errorf(
-			"oracle divergence after %d acked txns:\n--- recovered ---\n%s\n--- want (k=%d) ---\n%s\n--- or (k=%d) ---\n%s",
-			acked, got, acked, p.StateAfter(acked), next, p.StateAfter(next))
-	}
-
-	// Liveness on both commit protocols: the adopted sequence must be a
-	// valid base for full-path AND fast-path commits.
-	r.Update(func(tx tm.Tx) uint64 {
-		tx.Store(tm.Root(8), 0xBEEF)
-		return 0
-	})
-	if v := r.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(8)) }); v != 0xBEEF {
-		return false, errors.New("post-recovery full-path update lost")
-	}
-	tm.UpdateSmall(r, func(tx tm.Tx) uint64 {
-		tx.Store(tm.Root(9), 0xF00D)
-		return 0
-	})
-	if v := r.Read(func(tx tm.Tx) uint64 { return tx.Load(tm.Root(9)) }); v != 0xF00D {
-		return false, errors.New("post-recovery fast-path update lost")
-	}
-	return false, nil
+	return live(e, true)
 }

@@ -6,39 +6,34 @@ import (
 	"onefile/internal/testutil"
 )
 
-// TestCrashMatrixFastPath is the fast-path acceptance sweep (ISSUE 10
-// satellite): crash at every persistence event of the small-transaction
-// workload on both OneFile PTMs, in StrictMode and across RelaxedMode
-// device seeds, on the simulator — and demand zero violations. This is the
-// sweep that pins the adoption recovery protocol: fast commits never flush
-// the curTx image, so many of these crash points recover from durable words
-// that run ahead of the durable image.
+// fastWorkloads returns the fast-path workload of p on both OneFile PTMs.
+func fastWorkloads(t *testing.T, p *FastProgram) []Workload {
+	t.Helper()
+	var ws []Workload
+	for _, def := range onefilePTMs(t) {
+		ws = append(ws, Fast(def, p))
+	}
+	return ws
+}
+
+// TestCrashMatrixFastPath is the fast-path acceptance sweep: crash at every
+// persistence event of the small-transaction workload on both OneFile PTMs,
+// in StrictMode and across RelaxedMode device seeds, on the simulator — and
+// demand zero violations. This is the sweep that pins the adoption recovery
+// protocol: fast commits never flush the curTx image, so many of these
+// crash points recover from durable words that run ahead of the durable
+// image.
 func TestCrashMatrixFastPath(t *testing.T) {
 	seed := testutil.Seed(t, 1)
-	cfg := Config{
-		Seed:         seed,
-		Txns:         12,
-		Stride:       1,
-		FastPath:     true,
-		Strict:       true,
-		RelaxedSeeds: []int64{1, 2, 3, 4},
-		Logf:         t.Logf,
-	}
+	txns, relaxed := 12, []int64{1, 2, 3, 4}
 	if testing.Short() {
-		cfg.Txns = 8
-		cfg.RelaxedSeeds = []int64{1}
+		txns, relaxed = 8, []int64{1}
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	t.Logf("fast-path sweep: %d crash points, %d violations", res.Points, len(res.Violations))
-	if res.Points == 0 {
-		t.Fatal("fast-path matrix exercised no crash points")
-	}
+	sweep(t, Config{
+		Workloads:    fastWorkloads(t, NewFastProgram(seed, txns)),
+		Strict:       true,
+		RelaxedSeeds: relaxed,
+	})
 }
 
 // TestCrashMatrixFastPathFileDevice re-runs the fast-path sweep with every
@@ -47,41 +42,27 @@ func TestCrashMatrixFastPath(t *testing.T) {
 func TestCrashMatrixFastPathFileDevice(t *testing.T) {
 	seed := testutil.Seed(t, 1)
 	cfg := Config{
-		Seed:         seed,
-		Txns:         10,
-		Stride:       1,
-		FastPath:     true,
+		Workloads:    fastWorkloads(t, NewFastProgram(seed, 10)),
 		Strict:       true,
 		RelaxedSeeds: []int64{1, 2},
-		Device:       fileFactory(testutil.TmpfsDir(t)),
-		Logf:         t.Logf,
+		Device:       FileDevices(testutil.TmpfsDir(t)),
 	}
 	if testing.Short() {
-		cfg.Txns = 6
+		cfg.Workloads = fastWorkloads(t, NewFastProgram(seed, 6))
 		cfg.Stride = 3
 		cfg.RelaxedSeeds = nil
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	t.Logf("fast-path file-device sweep: %d crash points, %d violations", res.Points, len(res.Violations))
-	if res.Points == 0 {
-		t.Fatal("fast-path matrix exercised no crash points")
-	}
+	sweep(t, cfg)
 }
 
 // TestFastSweepRejectsNonFastPath: the sweep on an engine without a fast
 // path is a configuration error, not a silently weaker check.
 func TestFastSweepRejectsNonFastPath(t *testing.T) {
-	_, err := Run(Config{
-		Seed: 1, Txns: 3, FastPath: true, Strict: true,
-		Engines: []string{"PMDK"},
-	})
-	if err == nil {
+	def, err := EngineByName("PMDK")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Config{Workloads: []Workload{Fast(def, NewFastProgram(1, 3))}, Strict: true}); err == nil {
 		t.Fatal("fast-path sweep on PMDK did not error")
 	}
 }

@@ -7,16 +7,14 @@ import (
 	"onefile/internal/core"
 	"onefile/internal/pmem"
 	"onefile/internal/shard"
-	"onefile/internal/talloc"
 	"onefile/internal/tm"
 )
 
-// sharded.go extends the enumerated crash matrix across a partitioned
-// multi-engine store (internal/shard): N devices, one per shard, with the
-// crash-event counter SHARED across all of them so a simulated power
+// The sharded workload extends the enumerated crash matrix across a
+// partitioned multi-engine store (internal/shard): N devices, one per
+// shard, behind the driver's one shared event counter, so a simulated power
 // failure hits the whole machine at one global persistence event — exactly
-// the adversary the cross-shard two-phase commit must survive. The sweep
-// crashes at every event index of a canonical cross-shard workload, then
+// the adversary the cross-shard two-phase commit must survive. Recovery
 // re-attaches the full device set (running in-doubt resolution) and checks
 // the recovered state against a cross-shard sequential oracle: after a
 // crash anywhere inside a 2PC — between prepares, after the decide, during
@@ -41,10 +39,9 @@ type stxn struct {
 // transfer pot, Root(1) for the last generation stamp that touched it and
 // Root(2) for the liveness probe.
 type ShardedProgram struct {
-	Seed   int64
+	oracle
 	Shards int
 	txns   []stxn
-	states []string
 }
 
 // NewShardedProgram derives the workload from seed: one pot-initialising
@@ -56,7 +53,7 @@ func NewShardedProgram(seed int64, shards, txns int) *ShardedProgram {
 		panic(fmt.Sprintf("crashcheck: sharded program needs >=2 shards, got %d", shards))
 	}
 	rng := rand.New(rand.NewSource(seed))
-	p := &ShardedProgram{Seed: seed, Shards: shards}
+	p := &ShardedProgram{oracle: oracle{Seed: seed, mixed: txns}, Shards: shards}
 	for s := 1; s <= shards; s++ {
 		p.txns = append(p.txns, stxn{setup: s})
 	}
@@ -79,12 +76,6 @@ func NewShardedProgram(seed int64, shards, txns int) *ShardedProgram {
 	}
 	return p
 }
-
-// Len returns the number of transactions in the program.
-func (p *ShardedProgram) Len() int { return len(p.txns) }
-
-// StateAfter returns the oracle digest after the first k transactions.
-func (p *ShardedProgram) StateAfter(k int) string { return p.states[k] }
 
 func applyShardTxn(pots, gens []uint64, x stxn) {
 	switch {
@@ -117,7 +108,7 @@ func identityPart(n int) shard.Partitioner {
 
 // run executes the program on st, one store-level transaction per workload
 // transaction, calling acked after each one returns.
-func (p *ShardedProgram) run(st *shard.Store, acked func()) {
+func (p *ShardedProgram) run(st *shard.Store, acked func(n int)) error {
 	for _, t := range p.txns {
 		tc := t
 		switch {
@@ -134,7 +125,7 @@ func (p *ShardedProgram) run(st *shard.Store, acked func()) {
 				m.Store(tc.b, tm.Root(1), tc.gen)
 				return 0
 			}); err != nil {
-				panic(err)
+				return err
 			}
 		default:
 			st.UpdateOn(tc.a, func(tx tm.Tx) uint64 {
@@ -143,8 +134,9 @@ func (p *ShardedProgram) run(st *shard.Store, acked func()) {
 				return 0
 			})
 		}
-		acked()
+		acked(1)
 	}
+	return nil
 }
 
 // readShardedState reads the recovered store's logical state back into an
@@ -159,154 +151,67 @@ func readShardedState(st *shard.Store) string {
 	return digestShards(pots, gens)
 }
 
-// newShardedStore builds the device set (one per shard, seeds devSeed+i so
-// RelaxedMode reorders independently per shard) and a fresh or attached
-// store over it. The caller owns the returned devices.
-func (p *ShardedProgram) newShardedStore(fac DeviceFactory, mode pmem.Mode, devSeed int64, waitFree, attach bool, devs []pmem.Device) (*shard.Store, []pmem.Device, error) {
-	opened := devs == nil
-	if opened {
-		for i := 0; i < p.Shards; i++ {
-			d, err := fac.newDevice(core.DeviceConfig(mode, devSeed+int64(i), engineOpts()...))
-			if err != nil {
-				for _, c := range devs {
-					c.Close()
-				}
-				return nil, nil, err
-			}
-			devs = append(devs, d)
-		}
+// shardedWorkload runs a ShardedProgram on a store of OneFile engines,
+// one device per shard.
+type shardedWorkload struct {
+	*ShardedProgram
+	waitFree bool
+}
+
+// Sharded returns the cross-shard workload: p on a p.Shards-engine store of
+// OF-LF-PTM, or OF-WF-PTM when waitFree is set.
+func Sharded(p *ShardedProgram, waitFree bool) Workload {
+	return &shardedWorkload{ShardedProgram: p, waitFree: waitFree}
+}
+
+func (w *shardedWorkload) Name() string {
+	if w.waitFree {
+		return fmt.Sprintf("OF-WF-PTM x%d", w.Shards)
 	}
-	st, err := shard.NewPersistent(devs, waitFree, attach, identityPart(p.Shards), engineOpts()...)
-	if err != nil {
-		if opened {
-			for _, c := range devs {
-				c.Close()
-			}
+	return fmt.Sprintf("OF-LF-PTM x%d", w.Shards)
+}
+
+func (w *shardedWorkload) ident() (int64, int, int) { return w.Seed, w.mixed, 0 }
+
+// Open builds one device per shard, device i seeded devSeed+i so
+// RelaxedMode reorders independently per shard.
+func (w *shardedWorkload) Open(fac DeviceFactory, mode pmem.Mode, devSeed int64) ([]pmem.Device, func(func(int)) error, error) {
+	var devs []pmem.Device
+	for i := 0; i < w.Shards; i++ {
+		d, err := fac.newDevice(core.DeviceConfig(mode, devSeed+int64(i), engineOpts()...))
+		if err != nil {
+			closeAll(devs)
+			return nil, nil, err
 		}
+		devs = append(devs, d)
+	}
+	st, err := shard.NewPersistent(devs, w.waitFree, false, identityPart(w.Shards), engineOpts()...)
+	if err != nil {
+		closeAll(devs)
 		return nil, nil, err
 	}
-	return st, devs, nil
+	return devs, func(acked func(int)) error { return w.run(st, acked) }, nil
 }
 
-// EnumerateSharded runs the sharded workload to completion on fresh
-// devices and returns the total number of persistence events across ALL
-// shard devices — the crash-point space of one sweep. Deterministic for a
-// fixed (program, mode, waitFree): the workload is single-threaded and
-// every store-level transaction schedules its engine transactions in a
-// fixed order.
-func EnumerateSharded(fac DeviceFactory, mode pmem.Mode, p *ShardedProgram, waitFree bool) (int, error) {
-	st, devs, err := p.newShardedStore(fac, mode, 1, waitFree, false, nil)
+func (w *shardedWorkload) Inflight(int) int { return 1 }
+
+// Recover attaches the store to the whole device set, letting in-doubt
+// resolution run, audits every shard's allocator (the 2PC staging blocks
+// are ordinary allocations) and checks that the recovered store still
+// commits a cross-shard transaction.
+func (w *shardedWorkload) Recover(devs []pmem.Device, check func(string) error) error {
+	st, err := shard.NewPersistent(devs, w.waitFree, true, identityPart(w.Shards), engineOpts()...)
 	if err != nil {
-		return 0, err
+		return fmt.Errorf("sharded recovery failed: %w", err)
 	}
-	defer func() {
-		for _, d := range devs {
-			d.Close()
-		}
-	}()
-	n := 0
-	for _, d := range devs {
-		d.SetHook(func(pmem.Event) { n++ })
-	}
-	p.run(st, func() {})
-	for _, d := range devs {
-		d.SetHook(nil)
-	}
-	return n, nil
-}
-
-// RunShardedPoint runs the sharded workload on fresh devices, crashes the
-// whole machine at global persistence event number event (1-based, counted
-// across every shard device), recovers the full device set and verifies
-// the cross-shard invariants. Returns (completed, err) like RunPointOn.
-func RunShardedPoint(fac DeviceFactory, mode pmem.Mode, devSeed int64, p *ShardedProgram, waitFree bool, event int) (completed bool, err error) {
-	st, devs, err := p.newShardedStore(fac, mode, devSeed, waitFree, false, nil)
-	if err != nil {
-		return false, err
-	}
-	defer func() {
-		for _, d := range devs {
-			d.Close()
-		}
-	}()
-
-	// One counter across all devices: the crash is a whole-machine event.
-	// Once it fires it keeps firing, so nothing on any shard becomes
-	// durable after the "power failure".
-	n := 0
-	for _, d := range devs {
-		d.SetHook(func(pmem.Event) {
-			n++
-			if n >= event {
-				panic(crashSignal{event: event})
-			}
-		})
-	}
-	acked := 0
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); ok {
-					crashed = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.run(st, func() { acked++ })
-	}()
-	for _, d := range devs {
-		d.SetHook(nil)
-	}
-	if !crashed {
-		return true, nil
-	}
-
-	for _, d := range devs {
-		d.Crash()
-	}
-	return false, RecoverShardedAndVerify(devs, p, waitFree, acked)
-}
-
-// RecoverShardedAndVerify attaches a sharded store to devs (which must
-// hold a post-crash image set), letting in-doubt resolution run, and
-// checks every recovery invariant: attach succeeds on all shards, each
-// shard's allocator audits clean (the 2PC staging blocks are ordinary
-// allocations), the logical state across ALL shards equals the sequential
-// oracle after exactly acked or acked+1 workload transactions — so a
-// cross-shard transfer is all-or-nothing over the whole store — and the
-// recovered store still commits cross-shard transactions.
-func RecoverShardedAndVerify(devs []pmem.Device, p *ShardedProgram, waitFree bool, acked int) error {
-	st, _, err := p.newShardedStore(nil, pmem.StrictMode, 0, waitFree, true, devs)
-	if err != nil {
-		return fmt.Errorf("sharded recovery failed after %d acked txns: %w", acked, err)
-	}
-
 	for s := 0; s < st.Shards(); s++ {
-		e := st.Engine(s)
-		auditOK := false
-		e.Read(func(tx tm.Tx) uint64 {
-			_, _, auditOK = talloc.Audit(tx, e.DynBase())
-			return 0
-		})
-		if !auditOK {
-			return fmt.Errorf("shard %d: allocator audit failed after %d acked txns", s, acked)
+		if !audit(st.Engine(s)) {
+			return fmt.Errorf("shard %d: allocator audit failed", s)
 		}
 	}
-
-	got := readShardedState(st)
-	next := acked + 1
-	if next > p.Len() {
-		next = p.Len()
+	if err := check(readShardedState(st)); err != nil {
+		return err
 	}
-	if got != p.StateAfter(acked) && got != p.StateAfter(next) {
-		return fmt.Errorf(
-			"cross-shard oracle divergence after %d acked txns:\n--- recovered ---\n%s\n--- want (k=%d) ---\n%s\n--- or (k=%d) ---\n%s",
-			acked, got, acked, p.StateAfter(acked), next, p.StateAfter(next))
-	}
-
-	// Liveness: the recovered store must still commit a 2PC transaction.
 	last := st.Shards() - 1
 	if _, err := st.UpdateCross([]uint64{0, uint64(last)}, func(m tm.MultiTx) uint64 {
 		m.Store(0, tm.Root(2), 0xBEEF)
@@ -321,93 +226,4 @@ func RecoverShardedAndVerify(devs []pmem.Device, p *ShardedProgram, waitFree boo
 		return fmt.Errorf("post-recovery cross-shard update lost: (%#x, %#x)", v0, vl)
 	}
 	return nil
-}
-
-// ShardedConfig parameterises a sharded matrix run.
-type ShardedConfig struct {
-	// Shards is the number of engines/devices (>= 2); 0 defaults to 2.
-	Shards int
-	// Txns is the number of mixed transactions after the per-shard setup.
-	Txns int
-	// Seed derives the workload program.
-	Seed int64
-	// Stride checks every Stride-th event index (1 = exhaustive).
-	Stride int
-	// WaitFree selects the wait-free engine variant per shard.
-	WaitFree bool
-	// Strict enables the StrictMode sweep.
-	Strict bool
-	// RelaxedSeeds are base device seeds for the RelaxedMode sweeps (each
-	// shard device gets base+shardIndex); empty disables RelaxedMode.
-	RelaxedSeeds []int64
-	// Device builds each shard device; nil = simulator. A file-backed
-	// factory must keep Shards devices alive per point.
-	Device DeviceFactory
-	// Logf, when non-nil, receives progress lines.
-	Logf func(format string, args ...any)
-}
-
-// RunSharded executes the cross-shard crash matrix and returns the
-// aggregated result (the Events map is keyed by an engine×shards label).
-func RunSharded(cfg ShardedConfig) (*Result, error) {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Txns <= 0 {
-		cfg.Txns = 8
-	}
-	if cfg.Stride <= 0 {
-		cfg.Stride = 1
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	name := fmt.Sprintf("OF-LF-PTM x%d", cfg.Shards)
-	if cfg.WaitFree {
-		name = fmt.Sprintf("OF-WF-PTM x%d", cfg.Shards)
-	}
-	p := NewShardedProgram(cfg.Seed, cfg.Shards, cfg.Txns)
-	res := &Result{Events: map[string]int{}}
-
-	type sweep struct {
-		mode    pmem.Mode
-		devSeed int64
-	}
-	var sweeps []sweep
-	if cfg.Strict {
-		sweeps = append(sweeps, sweep{pmem.StrictMode, 1})
-	}
-	for _, s := range cfg.RelaxedSeeds {
-		sweeps = append(sweeps, sweep{pmem.RelaxedMode, s})
-	}
-
-	for _, sw := range sweeps {
-		events, err := EnumerateSharded(cfg.Device, sw.mode, p, cfg.WaitFree)
-		if err != nil {
-			return nil, fmt.Errorf("crashcheck: enumerating %s: %w", name, err)
-		}
-		res.Events[name] = events
-		logf("%s mode=%d devseed=%d: %d persistence events across %d devices, checking every %d",
-			name, sw.mode, sw.devSeed, events, cfg.Shards, cfg.Stride)
-		for i := 1; i <= events; i += cfg.Stride {
-			completed, err := RunShardedPoint(cfg.Device, sw.mode, sw.devSeed, p, cfg.WaitFree, i)
-			if completed {
-				break
-			}
-			res.Points++
-			if err != nil {
-				v := Violation{
-					Engine: name, Mode: sw.mode, DevSeed: sw.devSeed,
-					Seed: cfg.Seed, Txns: cfg.Txns, Event: i, Detail: err.Error(),
-				}
-				res.Violations = append(res.Violations, v)
-				logf("VIOLATION %s", v)
-			}
-		}
-	}
-	return res, nil
 }

@@ -38,18 +38,16 @@ type tornTrace struct {
 	acked  int
 }
 
-// runTornTrace executes the program on a strict simulator, crashing at
-// persistence event `event` (1-based), and captures the images bracketing
-// the un-synced tail. completed reports the event index is past the trace.
-func runTornTrace(def EngineDef, p *Program, event int) (completed bool, tr tornTrace, err error) {
-	dev, err := pmem.New(def.DeviceConfig(pmem.StrictMode, 1, engineOpts()...))
+// runTornTrace executes w on a strict simulator, crashing at persistence
+// event `event` (1-based), and captures the images bracketing the un-synced
+// tail. completed reports the event index is past the trace.
+func runTornTrace(w Workload, event int) (completed bool, tr tornTrace, err error) {
+	devs, run, err := w.Open(nil, pmem.StrictMode, 1)
 	if err != nil {
 		return false, tr, err
 	}
-	e, err := def.New(dev, false, engineOpts()...)
-	if err != nil {
-		return false, tr, err
-	}
+	defer closeAll(devs)
+	dev := devs[0]
 	// The sweep starts after the format, like the enumerated matrix: the
 	// formatted image is the baseline the fault injection never disturbs
 	// (format completion is the guarantee under test, not its internals).
@@ -74,22 +72,10 @@ func runTornTrace(def EngineDef, p *Program, event int) (completed bool, tr torn
 			}
 		}
 	})
-	crashed := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(crashSignal); ok {
-					crashed = true
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.run(e, func() { tr.acked++ })
-	}()
+	crashed, err := runGuarded(run, func(n int) { tr.acked += n })
 	dev.SetHook(nil)
-	if !crashed {
-		return true, tr, nil
+	if err != nil || !crashed {
+		return err == nil, tr, err
 	}
 	var final bytes.Buffer
 	if _, err := dev.WriteTo(&final); err != nil {
@@ -184,13 +170,13 @@ func TestTornMsyncBatchRecovery(t *testing.T) {
 	}
 	p := NewProgram(seed, txns)
 	for _, def := range Engines() {
-		def := def
+		w := Canonical(def, p)
 		t.Run(def.Name, func(t *testing.T) {
 			dir := testutil.TmpfsDir(t)
 			cfg := def.DeviceConfig(pmem.StrictMode, 1, engineOpts()...)
 			points := 0
 			for event := 1; ; event += stride {
-				completed, tr, err := runTornTrace(def, p, event)
+				completed, tr, err := runTornTrace(w, event)
 				if err != nil {
 					t.Fatalf("event %d: trace: %v", event, err)
 				}
@@ -208,11 +194,11 @@ func TestTornMsyncBatchRecovery(t *testing.T) {
 					if _, err := fdev.ReadFrom(bytes.NewReader(torn)); err != nil {
 						t.Fatalf("event %d: loading torn image: %v", event, err)
 					}
-					if err := RecoverAndVerify(def, fdev, p, tr.acked); err != nil {
-						keep := filepath.Join(os.TempDir(), fmt.Sprintf("onefile-torn-%s-ev%d-seed%d.img", def.Name, event, ts))
+					if err := RecoverAndVerify(w, []pmem.Device{fdev}, tr.acked); err != nil {
 						fdev.Close()
-						if cerr := os.Rename(path, keep); cerr != nil {
-							keep = "(preserve failed: " + cerr.Error() + ")"
+						keep, perr := testutil.Preserve(path, fmt.Sprintf("onefile-torn-%s-ev%d-seed%d.img", def.Name, event, ts))
+						if perr != nil {
+							keep = "(preserve failed: " + perr.Error() + ")"
 						}
 						t.Errorf("event %d torn-seed %d: %v\n  post-mortem: go run ./cmd/onefile-inspect -file -engine %s -heap %d -max-threads %d -max-stores %d %s",
 							event, ts, err, def.Name, 1<<13, 4, 1<<10, keep)

@@ -1,39 +1,14 @@
-// Package crashcheck is the systematic crash-consistency verifier for every
-// persistent engine in this repository. Where internal/bench's kill test
-// crashes at *random* persistence events, crashcheck enumerates *all* of
-// them: it runs a canonical workload once to count the persistence events
-// (pwb/pfence/drain) it issues, then re-runs it once per event index i,
-// simulating a whole-process crash at exactly event i (the pre-event hook of
-// internal/pmem panics before the event takes effect, and keeps panicking so
-// a "dead" process cannot make anything else durable), invokes pmem.Crash,
-// re-attaches the engine and verifies:
-//
-//   - recovery succeeds (magic, sequence bounds — the engines' own attach
-//     invariants, e.g. core.ErrCorrupt, fail the run);
-//   - the allocator audits clean (talloc.Audit tiles the heap exactly);
-//   - the recovered logical state equals the sequential oracle model after
-//     exactly k committed transactions, where k is the number of Update
-//     calls that returned before the crash or that number plus one (the
-//     in-flight transaction is all-or-nothing, never torn);
-//   - the recovered engine still commits and reads (liveness).
-//
-// In RelaxedMode the device additionally drops a seed-chosen subset of
-// buffered-but-unfenced flushes at the crash, so the same enumeration is
-// swept across device seeds — every failure report carries (engine, mode,
-// device seed, workload seed, event index) and is exactly replayable.
-//
-// The design follows the systematic-enumeration methodology of the PMDK
-// validation line of work (Raad et al.), replacing random kill timing with
-// exhaustive persistence-event coverage.
 package crashcheck
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 
 	"onefile/containers"
+	"onefile/internal/pmem"
 	"onefile/internal/tm"
 )
 
@@ -75,12 +50,26 @@ type txn struct {
 	ops   []txnOp
 }
 
+// oracle is what every workload program shares: the seed and the count of
+// mixed transactions it was derived from (a violation's replay
+// coordinates) and the digest of the sequential model after each prefix.
+type oracle struct {
+	Seed   int64
+	mixed  int
+	states []string // states[k] = digest of the model after k transactions
+}
+
+// Len returns the number of transactions in the program, setup included.
+func (o *oracle) Len() int { return len(o.states) - 1 }
+
+// StateAfter returns the oracle digest after the first k transactions.
+func (o *oracle) StateAfter(k int) string { return o.states[k] }
+
 // Program is the deterministic transaction list of a canonical workload,
 // plus the oracle model snapshots after each prefix of it.
 type Program struct {
-	Seed   int64
-	txns   []txn
-	states []string // states[k] = digest of the model after k transactions
+	oracle
+	txns []txn
 }
 
 // NewProgram generates the canonical workload: 3 container-creation
@@ -89,7 +78,7 @@ type Program struct {
 // same persistence-event trace, and the same oracle states.
 func NewProgram(seed int64, txns int) *Program {
 	rng := rand.New(rand.NewSource(seed))
-	p := &Program{Seed: seed}
+	p := &Program{oracle: oracle{Seed: seed, mixed: txns}}
 	p.txns = append(p.txns, txn{setup: 1}, txn{setup: 2}, txn{setup: 3})
 	for t := 1; t <= txns; t++ {
 		tx := txn{gen: uint64(t)}
@@ -123,12 +112,6 @@ func NewProgram(seed int64, txns int) *Program {
 	}
 	return p
 }
-
-// Len returns the number of transactions in the program.
-func (p *Program) Len() int { return len(p.txns) }
-
-// StateAfter returns the oracle digest after the first k transactions.
-func (p *Program) StateAfter(k int) string { return p.states[k] }
 
 // --- sequential oracle model ---
 
@@ -202,10 +185,17 @@ func (m *model) digest() string {
 
 // --- engine-side execution and read-back ---
 
-// runSetup executes the leading container-creation transactions (each is
-// its own engine transaction), calling acked(1) per transaction, and
-// returns the container handles plus the remaining workload transactions.
-func (p *Program) runSetup(e tm.Engine, acked func(n int)) (q *containers.Queue, hs *containers.HashSet, tmp *containers.TreeMap, rest []txn) {
+// run executes the program on e, calling acked with the number of workload
+// transactions each returned call carried. The container-creation
+// transactions run solo (the handles must exist before anything else runs);
+// with batch > 0 the rest are submitted through tm.Batch in chunks of
+// batch, otherwise each is one e.Update.
+func (p *Program) run(e tm.Engine, batch int, acked func(n int)) error {
+	var (
+		q   *containers.Queue
+		hs  *containers.HashSet
+		tmp *containers.TreeMap
+	)
 	i := 0
 	for ; i < len(p.txns) && p.txns[i].setup > 0; i++ {
 		switch p.txns[i].setup {
@@ -218,44 +208,48 @@ func (p *Program) runSetup(e tm.Engine, acked func(n int)) (q *containers.Queue,
 		}
 		acked(1)
 	}
-	return q, hs, tmp, p.txns[i:]
-}
-
-// applyOps applies one workload transaction's container operations inside
-// tx.
-func (p *Program) applyOps(tx tm.Tx, t txn, q *containers.Queue, hs *containers.HashSet, tmp *containers.TreeMap) {
-	for _, op := range t.ops {
-		switch op.kind {
-		case opEnqueue:
-			q.EnqueueTx(tx, op.val)
-		case opDequeue:
-			q.DequeueTx(tx)
-		case opSetAdd:
-			hs.AddTx(tx, op.key)
-		case opSetRemove:
-			hs.RemoveTx(tx, op.key)
-		case opMapPut:
-			tmp.PutTx(tx, op.key, op.val)
-		case opMapDelete:
-			tmp.DeleteTx(tx, op.key)
+	body := func(t txn) func(tm.Tx) uint64 {
+		return func(tx tm.Tx) uint64 {
+			tx.Store(tm.Root(slotGen), t.gen)
+			for _, op := range t.ops {
+				switch op.kind {
+				case opEnqueue:
+					q.EnqueueTx(tx, op.val)
+				case opDequeue:
+					q.DequeueTx(tx)
+				case opSetAdd:
+					hs.AddTx(tx, op.key)
+				case opSetRemove:
+					hs.RemoveTx(tx, op.key)
+				case opMapPut:
+					tmp.PutTx(tx, op.key, op.val)
+				case opMapDelete:
+					tmp.DeleteTx(tx, op.key)
+				}
+			}
+			return 0
 		}
 	}
-}
-
-// run executes the whole program on e, one engine transaction per workload
-// transaction, calling acked after each Update returns. Container handles
-// are attach-or-create; they are created by the setup transactions.
-func (p *Program) run(e tm.Engine, acked func()) {
-	q, hs, tmp, rest := p.runSetup(e, func(int) { acked() })
-	for _, t := range rest {
-		tcopy := t
-		e.Update(func(tx tm.Tx) uint64 {
-			tx.Store(tm.Root(slotGen), tcopy.gen)
-			p.applyOps(tx, tcopy, q, hs, tmp)
-			return 0
-		})
-		acked()
+	rest := p.txns[i:]
+	step := max(batch, 1)
+	for start := 0; start < len(rest); start += step {
+		chunk := rest[start:min(start+step, len(rest))]
+		if batch == 0 {
+			e.Update(body(chunk[0]))
+		} else {
+			fns := make([]func(tm.Tx) uint64, len(chunk))
+			for j, t := range chunk {
+				fns[j] = body(t)
+			}
+			for j, r := range tm.Batch(e, fns) {
+				if r.Err != nil {
+					return fmt.Errorf("batched txn %d: %w", start+j, r.Err)
+				}
+			}
+		}
+		acked(len(chunk))
 	}
+	return nil
 }
 
 // readState reads the recovered engine's logical state back into a model
@@ -291,4 +285,68 @@ func readState(e tm.Engine) string {
 		}
 	}
 	return m.digest()
+}
+
+// progWorkload runs a canonical Program on one engine, either one engine
+// transaction per workload transaction or, with batch > 0, through the
+// engine's group-commit combiner.
+type progWorkload struct {
+	*Program
+	def   EngineDef
+	batch int
+}
+
+// Canonical returns the canonical workload: p on def, one engine
+// transaction per workload transaction.
+func Canonical(def EngineDef, p *Program) Workload { return &progWorkload{Program: p, def: def} }
+
+// Batched returns the combined-transaction workload: p on def with the
+// mixed-operation transactions submitted through tm.Batch in chunks of
+// batch, so one physical transaction carries several workload
+// transactions. Recovery must then be all-or-nothing across each whole
+// chunk; any intermediate prefix is a torn batch. The generation root
+// stamps every workload transaction with a distinct value, so each
+// intermediate prefix has a distinct digest and tearing cannot hide. Only
+// engines whose combiner merges submissions (tm.Combining, the OneFile
+// PTMs) are eligible: the portable tm.Batch fallback runs one engine
+// transaction per operation and carries no batch atomicity to verify.
+func Batched(def EngineDef, p *Program, batch int) Workload {
+	return &progWorkload{Program: p, def: def, batch: batch}
+}
+
+func (w *progWorkload) Name() string { return w.def.Name }
+
+func (w *progWorkload) ident() (int64, int, int) { return w.Seed, w.mixed, w.batch }
+
+func (w *progWorkload) Open(fac DeviceFactory, mode pmem.Mode, devSeed int64) ([]pmem.Device, func(func(int)) error, error) {
+	dev, e, err := openEngine(fac, w.def, mode, devSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, ok := e.(tm.Combining); w.batch > 0 && !ok {
+		dev.Close()
+		return nil, nil, fmt.Errorf("crashcheck: %s has no group-commit combiner; batched sweep is not meaningful", w.def.Name)
+	}
+	return []pmem.Device{dev}, func(acked func(int)) error { return w.run(e, w.batch, acked) }, nil
+}
+
+func (w *progWorkload) Inflight(acked int) int {
+	if w.batch == 0 || acked < 3 { // unbatched, or still in solo setup
+		return 1
+	}
+	return min(w.Len()-acked, w.batch)
+}
+
+func (w *progWorkload) Recover(devs []pmem.Device, check func(string) error) error {
+	e, err := w.def.New(devs[0], true, engineOpts()...)
+	if err != nil {
+		return fmt.Errorf("recovery failed: %w", err)
+	}
+	if !audit(e) {
+		return errors.New("allocator audit failed")
+	}
+	if err := check(readState(e)); err != nil {
+		return err
+	}
+	return live(e, false)
 }

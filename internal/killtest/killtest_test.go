@@ -224,11 +224,7 @@ func runCycle(t *testing.T, exe, engine, path string, rng *rand.Rand, killAfter 
 // test cleanup, and returns the onefile-inspect command line for it.
 func preserve(t *testing.T, path, engine string, cycle int) string {
 	t.Helper()
-	keep := filepath.Join(os.TempDir(), fmt.Sprintf("onefile-killtest-%s-cycle%d.img", engine, cycle))
-	data, err := os.ReadFile(path)
-	if err == nil {
-		err = os.WriteFile(keep, data, 0o644)
-	}
+	keep, err := testutil.Preserve(path, fmt.Sprintf("onefile-killtest-%s-cycle%d.img", engine, cycle))
 	if err != nil {
 		return fmt.Sprintf("(image preserve failed: %v)", err)
 	}

@@ -59,7 +59,7 @@ type Backend interface {
 // EngineBackend serves from a single engine.
 type EngineBackend struct{ E tm.Engine }
 
-func (b EngineBackend) Shards() int        { return 1 }
+func (b EngineBackend) Shards() int         { return 1 }
 func (b EngineBackend) ShardFor(uint64) int { return 0 }
 func (b EngineBackend) Async(_ int, fn func(tm.Tx) uint64) *tm.Future {
 	return tm.AsyncUpdate(b.E, fn)
@@ -73,7 +73,7 @@ func (b EngineBackend) Stats() tm.Stats                          { return b.E.St
 // disjoint keys commit on independent streams.
 type ShardedBackend struct{ St *shard.Store }
 
-func (b ShardedBackend) Shards() int          { return b.St.Shards() }
+func (b ShardedBackend) Shards() int           { return b.St.Shards() }
 func (b ShardedBackend) ShardFor(h uint64) int { return b.St.ShardFor(h) }
 func (b ShardedBackend) Async(i int, fn func(tm.Tx) uint64) *tm.Future {
 	return tm.AsyncUpdate(b.St.Engine(i), fn)

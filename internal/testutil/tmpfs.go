@@ -2,6 +2,7 @@ package testutil
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -30,4 +31,20 @@ func TmpfsDir(tb testing.TB) string {
 		return dir
 	}
 	return tb.TempDir()
+}
+
+// Preserve copies the file at src into os.TempDir() under name, so a
+// post-mortem artefact outlives the test's scratch directory, and returns
+// the copy's path. It copies rather than renames: the scratch directory is
+// usually on tmpfs, and a rename across filesystems fails.
+func Preserve(src, name string) (string, error) {
+	data, err := os.ReadFile(src)
+	if err != nil {
+		return "", err
+	}
+	keep := filepath.Join(os.TempDir(), name)
+	if err := os.WriteFile(keep, data, 0o644); err != nil {
+		return "", err
+	}
+	return keep, nil
 }
